@@ -261,12 +261,12 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	// checkpoint identity.
 	var ck *checkpoint
 	if opt.Dir != "" {
-		ck, err = openCheckpoint(opt.Dir, plan.manifest())
+		ck, err = openCheckpoint(opt.Dir, plan)
 		if err != nil {
 			return nil, err
 		}
-		defer ck.close()
-		size = ck.man.ShardSize
+		defer ck.Close()
+		size = ck.plan.ShardSize
 	}
 	shards := shardCount(units, size)
 
@@ -316,7 +316,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 			func(sr shardResult) error {
 				lo, hi := shardBounds(units, size, sr.index)
 				if ck != nil {
-					if err := ck.append(sr.index, sr.out); err != nil {
+					if err := ck.Append(sr.index, sr.out); err != nil {
 						return err
 					}
 				}

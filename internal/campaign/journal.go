@@ -1,15 +1,14 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"steac/internal/durable"
 )
 
 // Typed checkpoint errors.  Repairable damage (a torn or bit-flipped
@@ -37,348 +36,181 @@ const (
 	journalName  = "journal.jsonl"
 )
 
-// castagnoli is the CRC-32C table used for journal entry checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// manifest is the checkpoint root of trust, written once (atomically, via
-// temp file + rename + fsync) when the checkpoint directory is created.
+// manifest is the checkpoint root of trust, published once (atomically,
+// via durable.WriteFile) when the checkpoint directory is created.
 type manifest struct {
-	Schema      string          `json:"schema"`
-	Kind        string          `json:"kind"`
-	Spec        json.RawMessage `json:"spec"`
-	Fingerprint string          `json:"fingerprint"`
-	Units       int             `json:"units"`
-	ShardSize   int             `json:"shard_size"`
-	Shards      int             `json:"shards"`
+	Schema string `json:"schema"`
+	Plan
 }
 
-// entry is one journal line: a completed shard's outcome vector, keyed by
-// the shard's content address and checksummed with CRC-32C over the
-// outcomes.  Entries are self-validating; any field that fails to check
-// out drops the whole entry and the shard re-runs.
+// entry is the record of one journal frame: a completed shard's outcome
+// vector, keyed by the shard's content address.  The durable frame's
+// CRC-32C covers the whole entry; an entry that fails any check drops and
+// the shard re-runs.
 type entry struct {
 	Schema string  `json:"schema"`
 	Shard  int     `json:"shard"`
 	Key    string  `json:"key"`
 	Out    []int64 `json:"out"`
-	CRC    uint32  `json:"crc"`
 }
 
-// entryCRC checksums an outcome vector for the journal.
-func entryCRC(shard int, key string, out []int64) uint32 {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%d:%s", shard, key)
-	for _, v := range out {
-		fmt.Fprintf(&buf, ":%d", v)
-	}
-	return crc32.Checksum(buf.Bytes(), castagnoli)
+// entry is the journal record of one completed shard.
+func (p Plan) entry(shard int, out []int64) entry {
+	return entry{Schema: SchemaVersion, Shard: shard, Key: p.Key(shard), Out: out}
 }
 
-// marshalEntry renders one journal line (newline-terminated).
-func marshalEntry(man manifest, shard int, out []int64) ([]byte, error) {
-	lo, hi := shardBounds(man.Units, man.ShardSize, shard)
-	key := shardKey(man.Fingerprint, shard, lo, hi)
-	line, err := json.Marshal(entry{
-		Schema: SchemaVersion, Shard: shard, Key: key, Out: out,
-		CRC: entryCRC(shard, key, out),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// scanJournal reads a journal file and validates every entry against the
-// manifest, returning the surviving shard outcomes and the count of
-// dropped (repairable) entries.  Entries are judged one by one:
+// scanJournal replays one journal file under the Skip policy and merges
+// its valid entries into loaded, returning the count of dropped
+// (repairable) entries.  Entries are judged one by one:
 //
-//   - wrong schema version on an otherwise well-formed entry → loud
-//     ErrSchemaVersion (a format change can silently re-interpret data;
-//     never guess);
-//   - undecodable line, CRC mismatch, wrong key, wrong length, shard
-//     index out of range, duplicate shard → drop and count as repaired
-//     (the shard just re-runs, cheap and always safe);
-//   - a torn final line (no trailing newline, from a crash mid-append) →
-//     same repair path.
+//   - a torn or damaged frame (CRC mismatch, truncation, garbage) → drop
+//     and count as repaired (the shard just re-runs, cheap and always
+//     safe);
+//   - wrong schema version on an intact entry → loud ErrSchemaVersion (a
+//     format change can silently re-interpret data; never guess);
+//   - undecodable entry, wrong key, wrong length, shard index out of
+//     range, duplicate shard within the file → drop and count.
 //
-// A missing journal is an empty one.
-func scanJournal(path string, man manifest) (loaded map[int][]int64, repaired int, err error) {
-	loaded = map[int][]int64{}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return loaded, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: open journal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+// Across files a duplicate shard is the expected trace of a stolen and
+// still-completed fabric shard: the first valid entry wins, silently.  The
+// campaign outcome is deterministic, so both carry identical vectors.  A
+// missing journal is an empty one.
+func scanJournal(path string, plan Plan, loaded map[int][]int64) (int, error) {
+	repaired := 0
+	seen := map[int]bool{}
+	dropped, err := durable.Replay(path, durable.Skip, func(rec []byte) error {
 		var e entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			repaired++
-			continue
-		}
-		if e.Schema != SchemaVersion {
-			return nil, 0, fmt.Errorf("%w: journal entry for shard %d has %q, this binary speaks %q",
+		err := json.Unmarshal(rec, &e)
+		if err == nil && e.Schema != SchemaVersion {
+			return fmt.Errorf("%w: journal entry for shard %d has %q, this binary speaks %q",
 				ErrSchemaVersion, e.Shard, e.Schema, SchemaVersion)
 		}
-		if e.Shard < 0 || e.Shard >= man.Shards {
+		lo, hi := plan.Bounds(e.Shard)
+		if err != nil || e.Shard < 0 || e.Shard >= plan.Shards || seen[e.Shard] ||
+			len(e.Out) != hi-lo || e.Key != plan.Key(e.Shard) {
 			repaired++
-			continue
+			return nil
 		}
-		lo, hi := shardBounds(man.Units, man.ShardSize, e.Shard)
-		if len(e.Out) != hi-lo ||
-			e.Key != shardKey(man.Fingerprint, e.Shard, lo, hi) ||
-			e.CRC != entryCRC(e.Shard, e.Key, e.Out) {
-			repaired++
-			continue
+		seen[e.Shard] = true
+		if _, dup := loaded[e.Shard]; !dup {
+			loaded[e.Shard] = e.Out
 		}
-		if _, dup := loaded[e.Shard]; dup {
-			repaired++
-			continue
-		}
-		loaded[e.Shard] = e.Out
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("campaign: scan journal: %w", err)
-	}
-	return loaded, repaired, nil
-}
-
-// sideJournals lists the per-writer journal files of a multi-writer
-// checkpoint directory (journal-<writer>.jsonl), sorted by name so scans
-// are deterministic.
-func sideJournals(dir string) ([]string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: list journals: %w", err)
-	}
-	sort.Strings(matches)
-	return matches, nil
+		return nil
+	})
+	return repaired + dropped, err
 }
 
 // scanJournals merges every journal of a checkpoint directory — the
 // primary journal.jsonl plus any per-writer side journals left by
-// distributed fabric nodes — under the per-entry validation of
-// scanJournal.  Within one file a duplicate shard is damage (a writer
-// never journals a shard twice) and counts as repaired; across files a
-// duplicate is the expected trace of a stolen-and-still-completed shard,
-// so the first valid entry wins and the rest are ignored silently.  The
-// campaign outcome is deterministic, so any two valid entries for the same
-// shard carry identical vectors.
-func scanJournals(dir string, man manifest) (loaded map[int][]int64, repaired int, err error) {
-	files, err := sideJournals(dir)
+// distributed fabric nodes, which it also lists — under scanJournal's
+// per-entry validation.
+func scanJournals(dir string, plan Plan) (loaded map[int][]int64, repaired int, sides []string, err error) {
+	sides, err = filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, fmt.Errorf("campaign: list journals: %w", err)
 	}
-	files = append([]string{filepath.Join(dir, journalName)}, files...)
+	sort.Strings(sides) // deterministic scans
 	loaded = map[int][]int64{}
-	for _, path := range files {
-		one, rep, err := scanJournal(path, man)
+	for _, path := range append([]string{filepath.Join(dir, journalName)}, sides...) {
+		n, err := scanJournal(path, plan, loaded)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, nil, err
 		}
-		repaired += rep
-		for shard, out := range one {
-			if _, dup := loaded[shard]; !dup {
-				loaded[shard] = out
-			}
-		}
+		repaired += n
 	}
-	return loaded, repaired, nil
+	return loaded, repaired, sides, nil
 }
 
-// validateManifest checks a decoded manifest's own integrity (not its
-// match against any particular campaign).
-func validateManifest(man manifest) error {
+// readManifest reads, decodes and validates the manifest of dir and
+// returns its Plan.  With
+// want set the manifest must also belong to want's campaign
+// (ErrCheckpointMismatch).  A missing manifest is an error wrapping
+// os.ErrNotExist.
+func readManifest(dir string, want *Plan) (Plan, error) {
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return Plan{}, fmt.Errorf("campaign: read manifest: %w", err)
+	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return Plan{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
+	}
 	if man.Schema != SchemaVersion {
-		return fmt.Errorf("%w: checkpoint has %q, this binary speaks %q",
+		return Plan{}, fmt.Errorf("%w: checkpoint has %q, this binary speaks %q",
 			ErrSchemaVersion, man.Schema, SchemaVersion)
 	}
 	if man.Fingerprint == "" || man.Units <= 0 || man.ShardSize <= 0 ||
 		man.Shards != shardCount(man.Units, man.ShardSize) {
-		return fmt.Errorf("%w: inconsistent geometry", ErrCheckpointCorrupt)
+		return Plan{}, fmt.Errorf("%w: %s: inconsistent geometry", ErrCheckpointCorrupt, path)
 	}
-	return nil
-}
-
-// checkpoint is an open checkpoint directory: the validated manifest, the
-// shards already completed by earlier runs, and an append handle on the
-// journal.
-type checkpoint struct {
-	dir      string
-	man      manifest
-	loaded   map[int][]int64 // shard index -> outcome vector
-	repaired int             // journal entries dropped as damaged
-	journal  *os.File
-}
-
-// openCheckpoint opens dir as a checkpoint for the campaign described by
-// want, creating it if absent.  An existing checkpoint must carry the
-// current schema version (ErrSchemaVersion), a parseable manifest
-// (ErrCheckpointCorrupt), and the same fingerprint (ErrCheckpointMismatch).
-// The journal is then loaded via scanJournal, and compacted to only the
-// surviving entries if anything was dropped, so damage does not accumulate
-// across resumes.
-func openCheckpoint(dir string, want manifest) (*checkpoint, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: create checkpoint dir: %w", err)
-	}
-	ck := &checkpoint{dir: dir, man: want}
-
-	manPath := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(manPath)
 	switch {
-	case errors.Is(err, os.ErrNotExist):
-		if err := writeFileAtomic(manPath, mustMarshalManifest(want)); err != nil {
-			return nil, err
-		}
-	case err != nil:
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	default:
-		var have manifest
-		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, manPath, err)
-		}
-		if err := validateManifest(have); err != nil {
-			return nil, err
-		}
-		if have.Fingerprint != want.Fingerprint {
-			return nil, fmt.Errorf("%w: checkpoint %s.. vs campaign %s..",
-				ErrCheckpointMismatch, have.Fingerprint[:12], want.Fingerprint[:12])
-		}
-		if have.Units != want.Units {
-			// Same fingerprint implies the same spec, which implies the
-			// same unit count; a divergence means the manifest is damaged.
-			return nil, fmt.Errorf("%w: %s: units %d vs campaign %d",
-				ErrCheckpointCorrupt, manPath, have.Units, want.Units)
-		}
-		// The manifest's shard geometry wins over the requested one.
-		ck.man = have
+	case want == nil:
+	case man.Fingerprint != want.Fingerprint:
+		return Plan{}, fmt.Errorf("%w: checkpoint %.12s.. vs campaign %.12s..",
+			ErrCheckpointMismatch, man.Fingerprint, want.Fingerprint)
+	case man.Units != want.Units:
+		// Same fingerprint implies the same spec, which implies the
+		// same unit count; a divergence means the manifest is damaged.
+		return Plan{}, fmt.Errorf("%w: %s: units %d vs campaign %d",
+			ErrCheckpointCorrupt, path, man.Units, want.Units)
 	}
+	return man.Plan, nil
+}
 
-	journalPath := filepath.Join(dir, journalName)
-	ck.loaded, ck.repaired, err = scanJournals(dir, ck.man)
+// checkpoint is an open checkpoint directory: the primary journal's
+// append handle (whose manifest is authoritative), the shards already
+// completed by earlier runs, and the count of damaged entries dropped.
+type checkpoint struct {
+	*Store
+	loaded   map[int][]int64 // shard index -> outcome vector
+	repaired int
+}
+
+// openCheckpoint opens dir as a checkpoint for plan's campaign, creating
+// it if absent (CreateStore's loud-error taxonomy applies).  The
+// journals are then loaded via scanJournals and, when anything was
+// dropped or side journals exist, compacted into the primary journal, so
+// damage does not accumulate across resumes.
+func openCheckpoint(dir string, plan Plan) (*checkpoint, error) {
+	plan, err := CreateStore(dir, plan)
 	if err != nil {
 		return nil, err
 	}
-	// Compact when damage was dropped, and also when side journals from a
-	// multi-writer (fabric) run exist: a single-process resume owns the
-	// directory exclusively, so it may fold everything into the primary
-	// journal and delete the side files.  (Live fabric directories are only
-	// read via LoadOutcomes, which never compacts.)
-	sides, err := sideJournals(dir)
+	loaded, repaired, sides, err := scanJournals(dir, plan)
 	if err != nil {
 		return nil, err
 	}
-	if ck.repaired > 0 || len(sides) > 0 {
-		if err := ck.compactJournal(journalPath); err != nil {
-			return nil, err
+	st, err := openStore(plan, filepath.Join(dir, journalName))
+	if err != nil {
+		return nil, err
+	}
+	// A single-process resume owns the directory exclusively, so it may
+	// fold a multi-writer (fabric) run's side journals into the primary
+	// and delete them.  Live fabric directories are only read via
+	// LoadOutcomes, which never compacts.
+	if repaired > 0 || len(sides) > 0 {
+		var entries []entry
+		for shard := 0; shard < plan.Shards; shard++ {
+			if out, ok := loaded[shard]; ok {
+				entries = append(entries, plan.entry(shard, out))
+			}
 		}
-		// The primary journal now holds every surviving entry; the side
-		// journals are redundant.  A crash part-way through the removals
-		// just leaves benign cross-file duplicates for the next scan.
+		if err := durable.Rewrite(st.log, entries); err != nil {
+			st.Close()
+			return nil, fmt.Errorf("campaign: compact journal: %w", err)
+		}
+		// The primary journal now holds every surviving entry.  A crash
+		// part-way through the removals just leaves benign cross-file
+		// duplicates for the next scan.
 		for _, side := range sides {
 			if err := os.Remove(side); err != nil {
+				st.Close()
 				return nil, fmt.Errorf("campaign: compact journal: %w", err)
 			}
 		}
 	}
-
-	journal, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open journal: %w", err)
-	}
-	ck.journal = journal
-	return ck, nil
-}
-
-// compactJournal atomically rewrites the journal with only the surviving
-// entries, in shard order.
-func (ck *checkpoint) compactJournal(path string) error {
-	var buf bytes.Buffer
-	for shard := 0; shard < ck.man.Shards; shard++ {
-		out, ok := ck.loaded[shard]
-		if !ok {
-			continue
-		}
-		line, err := marshalEntry(ck.man, shard, out)
-		if err != nil {
-			return fmt.Errorf("campaign: compact journal: %w", err)
-		}
-		buf.Write(line)
-	}
-	return writeFileAtomic(path, buf.Bytes())
-}
-
-// append journals one completed shard: marshal, write one line, fsync.
-// The shard is only acknowledged to the caller (and the progress observer)
-// after the sync returns, so a completed shard survives any later crash.
-func (ck *checkpoint) append(shard int, out []int64) error {
-	line, err := marshalEntry(ck.man, shard, out)
-	if err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if _, err := ck.journal.Write(line); err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if err := ck.journal.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync journal: %w", err)
-	}
-	return nil
-}
-
-func (ck *checkpoint) close() {
-	if ck.journal != nil {
-		ck.journal.Close()
-	}
-}
-
-func mustMarshalManifest(m manifest) []byte {
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		panic(err) // manifest fields are all marshalable
-	}
-	return append(b, '\n')
-}
-
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs the file, renames it over path, and fsyncs the
-// directory — the standard crash-safe publish.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: sync %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign: close %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("campaign: publish %s: %w", filepath.Base(path), err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return &checkpoint{Store: st, loaded: loaded, repaired: repaired}, nil
 }
 
 // CheckpointInfo is the durable state of a checkpoint directory, as
@@ -396,30 +228,18 @@ type CheckpointInfo struct {
 	Repaired   int `json:"repaired"`
 }
 
-// Inspect reads a checkpoint directory without running anything: manifest
-// plus a validation pass over the journal.  It shares the loud-error
-// taxonomy of resume (ErrSchemaVersion / ErrCheckpointCorrupt /
-// ErrCheckpointMismatch is not applicable — there is no spec to compare)
-// but does not compact or otherwise modify the directory.
+// Inspect reads a checkpoint directory without running anything: it is
+// LoadOutcomes reduced to counts, with the same loud-error taxonomy
+// (ErrSchemaVersion / ErrCheckpointCorrupt), and never modifies the
+// directory.
 func Inspect(dir string) (*CheckpointInfo, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
-		return nil, err
-	}
-	loaded, repaired, err := scanJournals(dir, man)
+	plan, loaded, repaired, err := LoadOutcomes(dir)
 	if err != nil {
 		return nil, err
 	}
 	return &CheckpointInfo{
-		Kind: man.Kind, Fingerprint: man.Fingerprint, Spec: man.Spec,
-		Units: man.Units, ShardSize: man.ShardSize, Shards: man.Shards,
+		Kind: plan.Kind, Fingerprint: plan.Fingerprint, Spec: plan.Spec,
+		Units: plan.Units, ShardSize: plan.ShardSize, Shards: plan.Shards,
 		ShardsDone: len(loaded), Repaired: repaired,
 	}, nil
 }

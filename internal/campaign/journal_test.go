@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"steac/internal/durable"
 )
 
 // completedCheckpoint runs the standard spec to completion into a fresh
@@ -161,7 +163,17 @@ func TestJournalStaleEntrySchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := bytes.Replace(raw, []byte(SchemaVersion), []byte("steac-campaign/v0"), 1)
+	// Edit the first entry's schema and re-frame the line, so it still
+	// passes the frame checksum and is an otherwise valid entry.
+	first, rest, _ := bytes.Cut(raw, []byte("\n"))
+	var frame struct {
+		Rec json.RawMessage `json:"rec"`
+	}
+	if err := json.Unmarshal(first, &frame); err != nil {
+		t.Fatal(err)
+	}
+	rec := bytes.Replace(frame.Rec, []byte(SchemaVersion), []byte("steac-campaign/v0"), 1)
+	stale := append(durable.Frame(nil, rec), rest...)
 	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -284,5 +296,56 @@ func TestDecodeUnknownKind(t *testing.T) {
 	}
 	if !haveMem || !haveX {
 		t.Fatalf("registered kinds = %v, want both %q and %q", kinds, KindMemfault, KindXCheck)
+	}
+}
+
+// TestJournalLegacyFormatResumes pins the upgrade path from the journal
+// format of earlier releases (bare entries with an inner crc field,
+// testdata/legacy-checkpoint, written by that code for testSpec at shard
+// size 64).  Its manifest is unchanged and still accepted; its entries
+// are not frames, so every one replays as damage, every shard re-runs,
+// and the report is the golden one.  The compaction leaves a journal the
+// next resume takes whole.
+func TestJournalLegacyFormatResumes(t *testing.T) {
+	dir := t.TempDir()
+	var entries int
+	for _, name := range []string{manifestName, journalName} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "legacy-checkpoint", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == journalName {
+			entries = bytes.Count(raw, []byte("\n"))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := goldenRun(t, testSpec())
+	res, got := resume(t, dir)
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("legacy-format journal resumed to a different report:\n got  %s\n want %s", got, golden)
+	}
+	if res.Resumed != 0 || res.Repaired != entries || entries != res.Shards {
+		t.Fatalf("resumed %d, repaired %d of %d legacy entries (%d shards); want 0 resumed, all repaired",
+			res.Resumed, res.Repaired, entries, res.Shards)
+	}
+	res2, _ := resume(t, dir)
+	if res2.Repaired != 0 || res2.Resumed != res2.Shards {
+		t.Fatalf("second resume: %d repaired, %d/%d resumed", res2.Repaired, res2.Resumed, res2.Shards)
+	}
+
+	// A fresh checkpoint publishes the legacy manifest byte for byte.
+	fresh, _ := completedCheckpoint(t)
+	mine, err := os.ReadFile(filepath.Join(fresh, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-checkpoint", manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mine, legacy) {
+		t.Fatalf("manifest format changed:\n%s\nwant\n%s", mine, legacy)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"steac/internal/durable"
 )
 
 // The multi-writer checkpoint store: the exported slice of the checkpoint
@@ -57,21 +59,6 @@ func (p Plan) Bounds(index int) (lo, hi int) {
 func (p Plan) Key(index int) string {
 	lo, hi := p.Bounds(index)
 	return shardKey(p.Fingerprint, index, lo, hi)
-}
-
-func (p Plan) manifest() manifest {
-	return manifest{
-		Schema: SchemaVersion, Kind: p.Kind, Spec: p.Spec,
-		Fingerprint: p.Fingerprint, Units: p.Units,
-		ShardSize: p.ShardSize, Shards: p.Shards,
-	}
-}
-
-func planFromManifest(man manifest) Plan {
-	return Plan{
-		Kind: man.Kind, Spec: man.Spec, Fingerprint: man.Fingerprint,
-		Units: man.Units, ShardSize: man.ShardSize, Shards: man.Shards,
-	}
 }
 
 // PlanCampaign prepares a spec and fixes its shard geometry: the requested
@@ -129,46 +116,28 @@ func CreateStore(dir string, plan Plan) (Plan, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Plan{}, fmt.Errorf("campaign: create checkpoint dir: %w", err)
 	}
-	manPath := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(manPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		if err := writeFileAtomic(manPath, mustMarshalManifest(plan.manifest())); err != nil {
-			return Plan{}, err
-		}
-		return plan, nil
-	case err != nil:
-		return Plan{}, fmt.Errorf("campaign: read manifest: %w", err)
+	have, err := readManifest(dir, &plan)
+	if !errors.Is(err, os.ErrNotExist) {
+		return have, err
 	}
-	var have manifest
-	if err := json.Unmarshal(raw, &have); err != nil {
-		return Plan{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, manPath, err)
+	raw, err := json.MarshalIndent(manifest{Schema: SchemaVersion, Plan: plan}, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(filepath.Join(dir, manifestName), append(raw, '\n'))
 	}
-	if err := validateManifest(have); err != nil {
-		return Plan{}, err
+	if err != nil {
+		return Plan{}, fmt.Errorf("campaign: publish manifest: %w", err)
 	}
-	if have.Fingerprint != plan.Fingerprint {
-		return Plan{}, fmt.Errorf("%w: checkpoint %s.. vs campaign %s..",
-			ErrCheckpointMismatch, have.Fingerprint[:12], plan.Fingerprint[:12])
-	}
-	if have.Units != plan.Units {
-		return Plan{}, fmt.Errorf("%w: %s: units %d vs campaign %d",
-			ErrCheckpointCorrupt, manPath, have.Units, plan.Units)
-	}
-	return planFromManifest(have), nil
+	return plan, nil
 }
 
-// Store is one writer's append handle on a shared checkpoint directory.
-// Appends go to the writer's private journal file and are fsync'd before
-// Append returns, so an acknowledged shard survives any crash.  A Store
-// must not be shared between goroutines without external ordering; fabric
-// nodes serialize appends through one journaling path per store just like
-// Run does.
+// Store is one writer's append handle on a checkpoint directory — the
+// one journaling path shared by Run (on journal.jsonl) and fabric nodes
+// (on journal-<writer>.jsonl).  Appends are fsync'd before Append
+// returns, so an acknowledged shard survives any crash, and are safe for
+// concurrent use (a fabric node's work loops share one Store).
 type Store struct {
-	dir    string
-	writer string
-	man    manifest
-	file   *os.File
+	plan Plan
+	log  *durable.Log
 }
 
 // OpenStore opens an existing checkpoint directory for appending as
@@ -179,58 +148,41 @@ func OpenStore(dir string, plan Plan, writer string) (*Store, error) {
 	if !validWriter(writer) {
 		return nil, fmt.Errorf("campaign: invalid journal writer name %q", writer)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	plan, err := readManifest(dir, &plan)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
 		return nil, err
 	}
-	if man.Fingerprint != plan.Fingerprint {
-		return nil, fmt.Errorf("%w: checkpoint %s.. vs campaign %s..",
-			ErrCheckpointMismatch, man.Fingerprint[:12], plan.Fingerprint[:12])
-	}
-	path := filepath.Join(dir, "journal-"+writer+".jsonl")
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return openStore(plan, filepath.Join(dir, "journal-"+writer+".jsonl"))
+}
+
+func openStore(plan Plan, path string) (*Store, error) {
+	log, err := durable.OpenLog(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	return &Store{dir: dir, writer: writer, man: man, file: file}, nil
+	return &Store{plan: plan, log: log}, nil
 }
 
 // Plan returns the authoritative (manifest) geometry of the store.
-func (s *Store) Plan() Plan { return planFromManifest(s.man) }
+func (s *Store) Plan() Plan { return s.plan }
 
-// Append journals one completed shard: marshal, write one line to the
-// writer's journal, fsync.  The outcome vector length must match the
-// shard's unit range.
+// Append journals one completed shard as one durable frame.  The outcome
+// vector length must match the shard's unit range.
 func (s *Store) Append(shard int, out []int64) error {
-	if shard < 0 || shard >= s.man.Shards {
-		return fmt.Errorf("campaign: journal shard %d: out of range [0,%d)", shard, s.man.Shards)
+	if shard < 0 || shard >= s.plan.Shards {
+		return fmt.Errorf("campaign: journal shard %d: out of range [0,%d)", shard, s.plan.Shards)
 	}
-	lo, hi := shardBounds(s.man.Units, s.man.ShardSize, shard)
-	if len(out) != hi-lo {
+	if lo, hi := s.plan.Bounds(shard); len(out) != hi-lo {
 		return fmt.Errorf("campaign: journal shard %d: %d outcomes, want %d", shard, len(out), hi-lo)
 	}
-	line, err := marshalEntry(s.man, shard, out)
-	if err != nil {
+	if err := s.log.Append(s.plan.entry(shard, out)); err != nil {
 		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if _, err := s.file.Write(line); err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if err := s.file.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync journal: %w", err)
 	}
 	return nil
 }
 
 // Close releases the journal handle.
-func (s *Store) Close() error { return s.file.Close() }
+func (s *Store) Close() error { return s.log.Close() }
 
 // LoadOutcomes scans a checkpoint directory read-only: the validated
 // manifest as a Plan, the merged valid shard outcomes from every journal
@@ -239,22 +191,15 @@ func (s *Store) Close() error { return s.file.Close() }
 // directory, so it is safe to call while writers are live; a half-written
 // trailing line simply does not count yet.
 func LoadOutcomes(dir string) (Plan, map[int][]int64, int, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return Plan{}, nil, 0, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return Plan{}, nil, 0, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
-		return Plan{}, nil, 0, err
-	}
-	loaded, repaired, err := scanJournals(dir, man)
+	plan, err := readManifest(dir, nil)
 	if err != nil {
 		return Plan{}, nil, 0, err
 	}
-	return planFromManifest(man), loaded, repaired, nil
+	loaded, repaired, _, err := scanJournals(dir, plan)
+	if err != nil {
+		return Plan{}, nil, 0, err
+	}
+	return plan, loaded, repaired, nil
 }
 
 // MissingShards lists the shard indices of plan that loaded does not

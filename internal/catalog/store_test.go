@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"steac/internal/durable"
 )
 
 func testRecord(fp, tenant, scenario string, tam, cycles int) Record {
@@ -219,18 +221,72 @@ func TestStoreRejectsForeignSchema(t *testing.T) {
 // still passes the frame check and exercises the layer under test.
 func recrc(t *testing.T, file string) string {
 	t.Helper()
-	var out []string
+	var out []byte
 	for _, line := range strings.Split(strings.TrimSuffix(file, "\n"), "\n") {
-		var env envelope
+		var env struct {
+			Rec json.RawMessage `json:"rec"`
+		}
 		if err := json.Unmarshal([]byte(line), &env); err != nil {
 			t.Fatal(err)
 		}
-		env.CRC = crcOf(env.Rec)
-		blob, err := json.Marshal(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, string(blob))
+		out = durable.Frame(out, env.Rec)
 	}
-	return strings.Join(out, "\n") + "\n"
+	return string(out)
+}
+
+// TestStoreOpensLegacyFile pins the frame format: a catalog.jsonl written
+// by the earlier hand-rolled store (testdata/catalog_legacy.jsonl) opens
+// with an identical List, and putting the same records in the same order
+// into a fresh store writes the same bytes.
+func TestStoreOpensLegacyFile(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "catalog_legacy.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "catalog_legacy_list.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	got, err := json.MarshalIndent(st.List(Query{}), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(got, '\n')) != string(want) {
+		t.Fatalf("List differs from the original store:\n%s\nwant\n%s", got, want)
+	}
+	if st.Dropped() != 0 {
+		t.Fatalf("dropped %d lines of an undamaged file", st.Dropped())
+	}
+
+	fresh := t.TempDir()
+	st2, err := Open(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := durable.Replay(filepath.Join(dir, storeFile), durable.Refuse, func(blob []byte) error {
+		var rec Record
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			return err
+		}
+		return st2.Put(rec)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	rewritten, err := os.ReadFile(filepath.Join(fresh, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rewritten) != string(raw) {
+		t.Fatalf("re-putting the records wrote different bytes:\n%s\nwant\n%s", rewritten, raw)
+	}
 }

@@ -1,35 +1,38 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"steac/internal/durable"
 )
 
-// jobDB is the durable job database: one fsync'd JSONL file under the
-// checkpoint root (JobDir/jobs.jsonl) holding the latest state of every
-// job the daemon ever accepted, keyed by the content-addressed job id.
-// It replaces the old "scan the checkpoint directory and hope" recovery
-// path: a daemon restart knows every job's kind, spec, tenant owner, and
-// terminal result without touching per-job checkpoint internals, so jobs
-// reattach to their tenants and finished results survive the process.
+// jobDB is the durable job database: one framed log (internal/durable)
+// under the checkpoint root (JobDir/jobs.jsonl) holding the latest state
+// of every job the daemon ever accepted, keyed by the content-addressed
+// job id.  A daemon restart knows every job's kind, spec, tenant owner,
+// and terminal result without touching per-job checkpoint internals, so
+// jobs reattach to their tenants and finished results survive the
+// process.
 //
 // Write model: every state transition appends one full record and fsyncs
-// before the transition is acknowledged — the same "trust the store"
-// discipline as the campaign journal.  Load replays the file (last record
-// per id wins, torn tails are dropped) and compacts it back to one line
-// per job via an atomic tmp+rename, so the file stays proportional to
-// the number of jobs rather than the number of transitions.
+// before the transition is acknowledged.  Load replays the file under the
+// Refuse policy — last record per id wins, a torn tail is dropped and
+// counted, interior damage is a typed *durable.ErrCorrupt rather than a
+// silently lost or re-owned job — and compacts it back to one line per
+// job, so the file stays proportional to the number of jobs rather than
+// the number of transitions.
 type jobDB struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	recs map[string]jobRecord
+	mu      sync.Mutex
+	log     *durable.Log
+	recs    map[string]jobRecord
+	dropped int // torn-tail rows dropped on open
 }
 
 // jobRecord is one durable job row.  Spec is the verbatim submission
@@ -61,100 +64,79 @@ func openJobDB(dir string) (*jobDB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: job db: %w", err)
 	}
-	db := &jobDB{path: filepath.Join(dir, jobDBFile), recs: map[string]jobRecord{}}
-	raw, err := os.ReadFile(db.path)
-	switch {
-	case os.IsNotExist(err):
-	case err != nil:
-		return nil, fmt.Errorf("serve: job db: %w", err)
-	default:
-		sc := bufio.NewScanner(bytes.NewReader(raw))
-		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-		for sc.Scan() {
-			var rec jobRecord
-			// A torn tail (crash mid-append) fails to parse; every
-			// record before it is intact, so drop the tail and move on.
-			if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.ID == "" {
-				continue
-			}
-			db.recs[rec.ID] = rec
+	path := filepath.Join(dir, jobDBFile)
+	db := &jobDB{recs: map[string]jobRecord{}}
+	load := func(blob []byte) error {
+		var rec jobRecord
+		if err := json.Unmarshal(blob, &rec); err != nil || rec.ID == "" {
+			return fmt.Errorf("row without a job id (%v)", err)
 		}
+		db.recs[rec.ID] = rec
+		return nil
 	}
-	if err := db.compact(); err != nil {
-		return nil, err
+	raw, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("serve: job db: %w", err)
 	}
-	f, err := os.OpenFile(db.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if bytes.HasPrefix(raw, []byte(`{"id":`)) {
+		db.dropped, err = replayUnframed(path, raw, load)
+	} else {
+		db.dropped, err = durable.Replay(path, durable.Refuse, load)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: job db: %w", err)
 	}
-	db.f = f
+	if db.log, err = durable.OpenLog(path); err != nil {
+		return nil, fmt.Errorf("serve: job db: %w", err)
+	}
+	if err := durable.Rewrite(db.log, db.all()); err != nil {
+		db.log.Close()
+		return nil, fmt.Errorf("serve: job db compact: %w", err)
+	}
 	return db, nil
 }
 
-// compact rewrites the file to one line per job, submission order, via
-// tmp + fsync + atomic rename.
-func (db *jobDB) compact() error {
-	recs := make([]jobRecord, 0, len(db.recs))
-	for _, rec := range db.recs {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Submitted != recs[j].Submitted {
-			return recs[i].Submitted < recs[j].Submitted
+// replayUnframed is the one-shot reader for the unframed jobs.jsonl of
+// earlier releases (one bare jobRecord per line).  It applies the
+// durable Refuse rule: a damaged final line is a torn tail, dropped and
+// counted; damage before it is a *durable.ErrCorrupt.  The compaction in
+// openJobDB then rewrites the file framed.
+func replayUnframed(path string, raw []byte, load func([]byte) error) (dropped int, err error) {
+	lines := bytes.Split(bytes.TrimRight(raw, "\n"), []byte("\n"))
+	for i, line := range lines {
+		if err := load(line); err != nil {
+			if i < len(lines)-1 {
+				return dropped, &durable.ErrCorrupt{Path: path, Line: i + 1, Reason: err.Error()}
+			}
+			dropped++
 		}
-		return recs[i].ID < recs[j].ID
-	})
-	tmp := db.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
 	}
-	w := bufio.NewWriter(f)
-	for _, rec := range recs {
-		blob, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("serve: job db compact: %w", err)
-		}
-		w.Write(blob)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := os.Rename(tmp, db.path); err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	return nil
+	return dropped, nil
 }
 
-// put records a state transition: append one line, fsync, remember.
+// put records a state transition: append one frame, fsync, remember.
 func (db *jobDB) put(rec jobRecord) error {
 	if db == nil {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("serve: job db: %w", err)
-	}
-	if _, err := db.f.Write(append(blob, '\n')); err != nil {
-		return fmt.Errorf("serve: job db: %w", err)
-	}
-	if err := db.f.Sync(); err != nil {
+	if err := db.log.Append(rec); err != nil {
 		return fmt.Errorf("serve: job db: %w", err)
 	}
 	db.recs[rec.ID] = rec
 	return nil
+}
+
+// close releases the append handle; the index stays readable and further
+// puts fail.
+func (db *jobDB) close() error {
+	if db == nil {
+		return nil
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.log.Close()
 }
 
 // get returns the latest record for id.

@@ -42,6 +42,7 @@ var (
 	obsJobsFailed    = obs.GetCounter("serve.jobs_failed")
 	obsJobsCanceled  = obs.GetCounter("serve.jobs_canceled")
 	obsJobsActive    = obs.GetGauge("serve.jobs_active")
+	obsJobDBPutErr   = obs.GetCounter("serve.jobdb_put_failures")
 )
 
 // JobRequest is the POST /v1/jobs body.  Kind and Spec are the semantic
@@ -297,7 +298,7 @@ func (jm *jobManager) submit(tn *tenantState, spec campaign.Spec, req JobRequest
 	}
 	fingerprint, err := campaign.Fingerprint(spec)
 	if err != nil {
-		return nil, err
+		return nil, errBadRequest{err}
 	}
 	id := jobID(tn.ID, fingerprint)
 
@@ -350,11 +351,14 @@ func (jm *jobManager) submitFabric(ctx context.Context, tn *tenantState, spec ca
 	}
 	payload, err := spec.Marshal()
 	if err != nil {
-		return nil, err
+		return nil, errBadRequest{err}
 	}
 	info, err := jm.fabric.Submit(ctx, fabric.SubmitRequest{
 		Kind: spec.Kind(), Spec: payload, ShardSize: req.ShardSize, Tenant: tn.ID,
 	})
+	if errors.Is(err, fabric.ErrBadRequest) {
+		return nil, errBadRequest{err}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +432,7 @@ func (jm *jobManager) watchFabric(ctx context.Context, j *campaignJob) {
 			j.result = raw
 			rec := j.recordLocked()
 			j.mu.Unlock()
-			_ = jm.db.put(rec)
+			jm.persist(rec)
 			if jm.ingest != nil {
 				jm.ingest(rec)
 			}
@@ -462,7 +466,7 @@ func (jm *jobManager) run(ctx context.Context, j *campaignJob, workers, shardSiz
 	j.state = jobRunning
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	_ = jm.db.put(rec)
+	jm.persist(rec)
 	obsJobsActive.Set(obsJobsActive.Value() + 1)
 	defer func() { obsJobsActive.Set(obsJobsActive.Value() - 1) }()
 
@@ -524,9 +528,17 @@ func (jm *jobManager) finish(j *campaignJob, res *campaign.Result, err error) {
 	}
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	_ = jm.db.put(rec)
+	jm.persist(rec)
 	if rec.State == jobDone && jm.ingest != nil {
 		jm.ingest(rec)
+	}
+}
+
+// persist records a state transition that no caller waits on.  The job
+// carries on in memory; a failed write shows up on /metrics instead.
+func (jm *jobManager) persist(rec jobRecord) {
+	if err := jm.db.put(rec); err != nil {
+		obsJobDBPutErr.Add(1)
 	}
 }
 
@@ -609,13 +621,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		j, err = s.jobMgr.submit(tn, spec, req)
 	}
 	if err != nil {
+		// Spec validation failures arrive as errBadRequest (400); a job
+		// database that cannot open or write is the daemon's fault (500).
 		if errors.Is(err, ErrQuotaExceeded) {
 			obsQuotaRejs.Add(1)
 			tn.rejects.Add(1)
-			writeError(w, err)
-			return
 		}
-		writeError(w, errBadRequest{err})
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.status())

@@ -235,10 +235,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.drained.Do(func() { s.queue.close() })
 	s.workers.Wait()
-	// Every producer is gone; release the catalog's append handle so the
-	// last ingest is on disk before the process exits.
+	// Every producer is gone; release the catalog's and the job
+	// database's append handles.
 	if err := s.catalog.Close(); err != nil {
 		return fmt.Errorf("serve: drain: close catalog: %w", err)
+	}
+	if err := s.jobMgr.db.close(); err != nil {
+		return fmt.Errorf("serve: drain: close job db: %w", err)
 	}
 	return nil
 }
