@@ -56,19 +56,60 @@ type Chip struct {
 	openWires  map[int]bool
 	bridges    [][2]int
 
-	session     int
 	layout      pattern.SessionLayout
-	chains      map[string][][]bool
-	funcLanes   []*chipFuncLane
+	scan        []chipScanLane // indexed like Cycle.Actions
+	funcLanes   []chipFuncLane
+	extest      *chipExtest
 	cycleInSess int
+
+	// tamOut and funcOut are Step's packed outputs, owned by the chip.
+	tamOut, funcOut []uint64
+}
+
+// chipScanLane is one wrapped core's wrapper chains and capture scratch,
+// set up once per session.
+type chipScanLane struct {
+	lane   pattern.ScanLane
+	wireLo int
+	// chains[i][j] is wrapper chain i's cell j (0 = nearest TAM-in).
+	chains [][]bool
+	model  *pattern.CoreModel
+	// chainOff[i] is core scan chain i's offset in the model's state.
+	chainOff []int
+	// Capture scratch: the core PI and state images and the model's
+	// next-state and PO results.
+	pi, state, next, po []bool
 }
 
 type chipFuncLane struct {
 	lane    pattern.FuncLane
+	model   *pattern.CoreModel
 	machine uint64
-	inBuf   []bool
-	poLatch []bool
-	window  int
+	// inBuf and poLatch hold the PI window and the latched POs, packed.
+	inBuf   []uint64
+	poLatch []uint64
+	latched bool
+}
+
+// chipExtest is the EXTEST session's interconnect wiring, resolved to
+// wrapper cells once per session.
+type chipExtest struct {
+	// src[i] is interconnect i's driving out-cell; sinks lists every
+	// sink in-cell with the interconnect it captures (-1: none, quiet 0).
+	src   []cellRef
+	sinks []sinkRef
+	// outs lists the out-cells, which capture the idle core side (0).
+	outs   []cellRef
+	driven []bool
+}
+
+// cellRef addresses a wrapper cell: lane (-1 = no such cell, reads 0),
+// chain and position.
+type cellRef struct{ lane, chain, pos int }
+
+type sinkRef struct {
+	cellRef
+	wire int
 }
 
 // NewChip builds the chip for a translated program.  Core models are
@@ -80,7 +121,8 @@ func NewChip(prog *pattern.Program, cores []*testinfo.Core, opts ...Option) *Chi
 		defectCore: make(map[string]bool),
 		stuckWire:  -1,
 		openWires:  make(map[int]bool),
-		session:    -1,
+		tamOut:     make([]uint64, pattern.Words(prog.TamWidth)),
+		funcOut:    make([]uint64, pattern.Words(prog.FuncBus)),
 	}
 	for _, core := range cores {
 		c.models[core.Name] = pattern.NewCoreModel(core)
@@ -102,78 +144,149 @@ func NewChip(prog *pattern.Program, cores []*testinfo.Core, opts ...Option) *Chi
 
 // StartSession configures the chip for session i (the controller decodes
 // the session select and re-routes the TAM; wrapper chains reset to 0).
+// Everything a cycle needs is laid out here, so Step allocates nothing.
 func (c *Chip) StartSession(i int) error {
 	if i < 0 || i >= len(c.prog.Sessions) {
 		return fmt.Errorf("ate: session %d of %d", i, len(c.prog.Sessions))
 	}
-	c.session = i
 	c.layout = c.prog.Sessions[i]
 	c.cycleInSess = 0
-	c.chains = make(map[string][][]bool)
+	c.scan = c.scan[:0]
 	for _, lane := range c.layout.Scan {
-		chs := make([][]bool, len(lane.Plan.Chains))
-		for ci, ch := range lane.Plan.Chains {
-			chs[ci] = make([]bool, ch.Length())
-		}
-		c.chains[lane.Core.Name] = chs
+		c.scan = append(c.scan, c.newScanLane(lane, lane.WireLo))
 	}
+	c.extest = nil
 	if ex := c.layout.Extest; ex != nil {
 		for _, cl := range ex.Cores {
-			chs := make([][]bool, len(cl.Plan.Chains))
-			for ci, ch := range cl.Plan.Chains {
-				chs[ci] = make([]bool, ch.Length())
-			}
-			c.chains[cl.Core.Name] = chs
+			c.scan = append(c.scan, c.newScanLane(pattern.ScanLane{Core: cl.Core, Plan: cl.Plan}, cl.WireLo))
 		}
+		c.extest = newChipExtest(ex)
 	}
-	c.funcLanes = nil
+	c.funcLanes = c.funcLanes[:0]
 	for _, lane := range c.layout.Func {
 		model := c.models[lane.Core.Name]
-		c.funcLanes = append(c.funcLanes, &chipFuncLane{
+		c.funcLanes = append(c.funcLanes, chipFuncLane{
 			lane:    lane,
+			model:   model,
 			machine: model.FuncReset(),
-			inBuf:   make([]bool, lane.Core.PIs),
-			window:  -1,
+			inBuf:   make([]uint64, pattern.Words(lane.Core.PIs)),
+			poLatch: make([]uint64, pattern.Words(lane.Core.POs)),
 		})
 	}
 	return nil
 }
 
-// Step applies one tester cycle and returns the chip's observed outputs.
-func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
-	tamOut = make([]bool, c.prog.TamWidth)
-	funcOut = make([]bool, c.prog.FuncBus)
+func (c *Chip) newScanLane(lane pattern.ScanLane, wireLo int) chipScanLane {
+	core := lane.Core
+	sl := chipScanLane{lane: lane, wireLo: wireLo, chains: make([][]bool, len(lane.Plan.Chains))}
+	for ci, ch := range lane.Plan.Chains {
+		sl.chains[ci] = make([]bool, ch.Length())
+	}
+	if model, ok := c.models[core.Name]; ok {
+		sl.model = model
+		sl.chainOff = make([]int, len(core.ScanChains))
+		off := 0
+		for i, ch := range core.ScanChains {
+			sl.chainOff[i] = off
+			off += ch.Length
+		}
+		sl.pi = make([]bool, core.PIs)
+		sl.state = make([]bool, model.StateBits())
+		sl.next = make([]bool, model.StateBits())
+		sl.po = make([]bool, core.POs)
+	}
+	return sl
+}
 
-	for _, lane := range c.layout.Scan {
-		chs := c.chains[lane.Core.Name]
-		action := cyc.Actions[lane.Core.Name]
-		switch action {
+// newChipExtest resolves every interconnect to its source out-cell and
+// every sink in-cell to the interconnect it captures (the last one listed,
+// when several drive the same input).
+func newChipExtest(ex *pattern.ExtestLane) *chipExtest {
+	lane := make(map[string]int, len(ex.Cores))
+	for i, cl := range ex.Cores {
+		lane[cl.Core.Name] = i
+	}
+	x := &chipExtest{driven: make([]bool, len(ex.Wires))}
+	sinkWire := make(map[[2]int]int)
+	for wi, w := range ex.Wires {
+		ref := cellRef{lane: -1}
+		if li, ok := lane[w.FromCore]; ok {
+			if ci, pos, ok := ex.Cores[li].Cell(false, w.FromPO); ok {
+				ref = cellRef{li, ci, pos}
+			}
+		}
+		x.src = append(x.src, ref)
+		if li, ok := lane[w.ToCore]; ok {
+			sinkWire[[2]int{li, w.ToPI}] = wi
+		}
+	}
+	for li, cl := range ex.Cores {
+		piIdx := 0
+		for ci, ch := range cl.Plan.Chains {
+			pos := 0
+			for k := 0; k < ch.InCells; k++ {
+				wi, ok := sinkWire[[2]int{li, piIdx}]
+				if !ok {
+					wi = -1
+				}
+				x.sinks = append(x.sinks, sinkRef{cellRef{li, ci, pos}, wi})
+				piIdx++
+				pos++
+			}
+			pos += ch.ScanBits() // core segments hold
+			for k := 0; k < ch.OutCells; k++ {
+				x.outs = append(x.outs, cellRef{li, ci, pos})
+				pos++
+			}
+		}
+	}
+	return x
+}
+
+// Step applies one tester cycle and returns the chip's observed outputs,
+// packed like pattern.Bus (pin i in bit i%64 of word i/64).  The slices
+// are owned by the chip and valid until the next Step; Step allocates
+// nothing.
+func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []uint64) {
+	tamOut, funcOut = c.tamOut, c.funcOut
+	clear(tamOut)
+	clear(funcOut)
+
+	capture := false
+	for i := range c.scan {
+		sl := &c.scan[i]
+		switch cyc.Actions[i] {
 		case pattern.ActShift:
-			for ci := range chs {
-				wire := lane.WireLo + ci
-				chain := chs[ci]
+			for ci, chain := range sl.chains {
 				if len(chain) == 0 {
 					continue
 				}
-				tamOut[wire] = chain[len(chain)-1]
-				in := cyc.TamIn[wire].Bool()
+				wire := sl.wireLo + ci
+				if chain[len(chain)-1] {
+					tamOut[wire>>6] |= 1 << (wire & 63)
+				} else {
+					tamOut[wire>>6] &^= 1 << (wire & 63)
+				}
 				copy(chain[1:], chain[:len(chain)-1])
-				chain[0] = in
+				chain[0] = cyc.TamIn.Level(wire)
 			}
 		case pattern.ActCapture:
-			c.capture(lane, chs)
+			capture = true
+			if c.extest == nil {
+				c.capture(sl)
+			}
 		}
 	}
-	if ex := c.layout.Extest; ex != nil {
-		c.extestStep(ex, cyc, tamOut)
+	if capture && c.extest != nil {
+		c.extestCapture()
 	}
 
-	for _, fl := range c.funcLanes {
-		c.funcCycle(fl, cyc, funcOut)
+	for i := range c.funcLanes {
+		c.funcCycle(&c.funcLanes[i], cyc, funcOut)
 	}
 
-	if c.stuckWire >= 0 && c.stuckWire < len(tamOut) {
-		tamOut[c.stuckWire] = false
+	if w := c.stuckWire; w >= 0 && w < c.prog.TamWidth {
+		tamOut[w>>6] &^= 1 << (w & 63)
 	}
 	c.cycleInSess++
 	return tamOut, funcOut
@@ -182,198 +295,113 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
 // capture performs the update+capture cycle of one wrapped core: in-cells
 // drive the core PIs, the core logic computes, segments take the next scan
 // state, out-cells take the POs, in-cells capture the quiescent chip pins.
-func (c *Chip) capture(lane pattern.ScanLane, chs [][]bool) {
-	core := lane.Core
-	model := c.models[core.Name]
-	pi := make([]bool, core.PIs)
-	state := make([]bool, model.StateBits())
-	chainOff := coreChainOffsets(core)
-
+func (c *Chip) capture(sl *chipScanLane) {
+	core := sl.lane.Core
 	piIdx := 0
-	for ci, ch := range lane.Plan.Chains {
+	for ci, ch := range sl.lane.Plan.Chains {
+		cells := sl.chains[ci]
 		pos := 0
 		for k := 0; k < ch.InCells; k++ {
-			pi[piIdx] = chs[ci][pos]
+			sl.pi[piIdx] = cells[pos]
 			piIdx++
 			pos++
 		}
 		for _, cci := range ch.CoreChains {
 			l := core.ScanChains[cci].Length
-			copy(state[chainOff[cci]:chainOff[cci]+l], chs[ci][pos:pos+l])
+			copy(sl.state[sl.chainOff[cci]:sl.chainOff[cci]+l], cells[pos:pos+l])
 			pos += l
 		}
 	}
 
-	next, po := model.Capture(state, pi)
+	sl.model.CaptureInto(sl.state, sl.pi, sl.next, sl.po)
 
 	poIdx := 0
-	for ci, ch := range lane.Plan.Chains {
+	for ci, ch := range sl.lane.Plan.Chains {
+		cells := sl.chains[ci]
 		pos := 0
 		for k := 0; k < ch.InCells; k++ {
-			chs[ci][pos] = false // chip-side functional pins held quiet
+			cells[pos] = false // chip-side functional pins held quiet
 			pos++
 		}
 		for _, cci := range ch.CoreChains {
 			l := core.ScanChains[cci].Length
-			copy(chs[ci][pos:pos+l], next[chainOff[cci]:chainOff[cci]+l])
+			copy(cells[pos:pos+l], sl.next[sl.chainOff[cci]:sl.chainOff[cci]+l])
 			pos += l
 		}
 		for k := 0; k < ch.OutCells; k++ {
-			chs[ci][pos] = po[poIdx]
+			cells[pos] = sl.po[poIdx]
 			poIdx++
 			pos++
 		}
 	}
 }
 
-func coreChainOffsets(core *testinfo.Core) []int {
-	offs := make([]int, len(core.ScanChains))
-	off := 0
-	for i, ch := range core.ScanChains {
-		offs[i] = off
-		off += ch.Length
-	}
-	return offs
-}
-
 // funcCycle implements the functional-test pin multiplexing: ingest this
 // cycle's input slots, step the core machine when the last PI slot of the
-// window arrives, and present output slots from the PO latch.
-func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []bool) {
-	lane := fl.lane
+// window arrives, and present output slots from the PO latch.  Cycle j of
+// a window carries pattern slots j·Slots.., a word at a time.
+func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []uint64) {
+	lane := &fl.lane
 	local := c.cycleInSess - lane.Start
 	if local < 0 || local >= lane.Cycles {
 		return
 	}
-	t, j := local/lane.CPP, local%lane.CPP
-	if t != fl.window {
-		fl.window = t
-	}
-	nPI := lane.Core.PIs
-	model := c.models[lane.Core.Name]
-	lastPISlot := nPI - 1
-	computes := false
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx < nPI {
-			fl.inBuf[slotIdx] = cyc.Func[lane.SlotLo+s].Bool()
-			if slotIdx == lastPISlot {
-				computes = true
-			}
-		}
-	}
-	if nPI == 0 && j == 0 {
-		computes = true
+	j := local % lane.CPP
+	nPI, nPO := lane.Core.PIs, lane.Core.POs
+	lo, hi := j*lane.Slots, (j+1)*lane.Slots
+	computes := nPI == 0 && j == 0
+	if n := min(hi, nPI) - lo; n > 0 {
+		cyc.Func.LevelsTo(fl.inBuf, lo, lane.SlotLo, n)
+		computes = lo+n == nPI // the window's last PI slot arrived
 	}
 	if computes {
-		fl.machine, fl.poLatch = model.FuncStep(fl.machine, fl.inBuf)
+		fl.machine = fl.model.FuncStep(fl.machine, fl.inBuf, fl.poLatch)
+		fl.latched = true
 	}
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx >= nPI && slotIdx < nPI+lane.Core.POs && fl.poLatch != nil {
-			funcOut[lane.SlotLo+s] = fl.poLatch[slotIdx-nPI]
+	if !fl.latched {
+		return
+	}
+	if from := max(lo, nPI); from < hi {
+		if n := min(hi, nPI+nPO) - from; n > 0 {
+			pattern.CopyBits(funcOut, lane.SlotLo+from-lo, fl.poLatch, from-nPI, n)
 		}
 	}
 }
 
-// extestStep handles an interconnect-test cycle: all wrapped cores shift
-// their single wrapper chain together; on capture, each sink input
+// extestCapture handles an interconnect-test capture: each sink input
 // boundary cell takes the value its glue wire carries (through any
 // injected open or bridge defect), core-internal segments hold, and output
 // cells capture the quiescent core side.
-func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []bool) {
-	capture := false
-	for _, cl := range ex.Cores {
-		switch cyc.Actions[cl.Core.Name] {
-		case pattern.ActShift:
-			for ci, chain := range c.chains[cl.Core.Name] {
-				if len(chain) == 0 {
-					continue
-				}
-				wire := cl.WireLo + ci
-				tamOut[wire] = chain[len(chain)-1]
-				in := cyc.TamIn[wire].Bool()
-				copy(chain[1:], chain[:len(chain)-1])
-				chain[0] = in
-			}
-		case pattern.ActCapture:
-			capture = true
-		}
-	}
-	if !capture {
-		return
-	}
+func (c *Chip) extestCapture() {
+	x := c.extest
 	// Gather driven values from the source out-cells (the update latches
 	// hold the loaded bits after the controller's UPDATE pulse).
-	driven := make([]bool, len(ex.Wires))
-	for wi, w := range ex.Wires {
-		driven[wi] = c.extestCellValue(ex, w.FromCore, false, w.FromPO)
-	}
-	// Defects.
-	for wi := range driven {
+	for wi, ref := range x.src {
+		x.driven[wi] = c.cell(ref)
 		if c.openWires[wi] {
-			driven[wi] = false
+			x.driven[wi] = false
 		}
 	}
 	for _, b := range c.bridges {
-		v := driven[b[0]] && driven[b[1]]
-		driven[b[0]], driven[b[1]] = v, v
+		v := x.driven[b[0]] && x.driven[b[1]]
+		x.driven[b[0]], x.driven[b[1]] = v, v
 	}
 	// Sink capture: in-cells take their wire's value (default quiet 0),
 	// out-cells capture the idle core side (0); segments hold.
-	sink := make(map[string]map[int]bool)
-	for wi, w := range ex.Wires {
-		if sink[w.ToCore] == nil {
-			sink[w.ToCore] = make(map[int]bool)
-		}
-		sink[w.ToCore][w.ToPI] = driven[wi]
+	for _, s := range x.sinks {
+		c.scan[s.lane].chains[s.chain][s.pos] = s.wire >= 0 && x.driven[s.wire]
 	}
-	for _, cl := range ex.Cores {
-		piIdx, poIdx := 0, 0
-		for ci, ch := range cl.Plan.Chains {
-			chain := c.chains[cl.Core.Name][ci]
-			pos := 0
-			for k := 0; k < ch.InCells; k++ {
-				chain[pos] = sink[cl.Core.Name][piIdx]
-				piIdx++
-				pos++
-			}
-			pos += ch.ScanBits() // core segments hold
-			for k := 0; k < ch.OutCells; k++ {
-				chain[pos] = false
-				poIdx++
-				pos++
-			}
-		}
-		_ = poIdx
+	for _, o := range x.outs {
+		c.scan[o.lane].chains[o.chain][o.pos] = false
 	}
 }
 
-// extestCellValue reads a boundary cell's current content: inCell selects
-// the input-cell region (PI index k), otherwise the output-cell region (PO
-// index k), walking the sequential cell allocation across the core's
-// wrapper chains.
-func (c *Chip) extestCellValue(ex *pattern.ExtestLane, core string, inCell bool, k int) bool {
-	for _, cl := range ex.Cores {
-		if cl.Core.Name != core {
-			continue
-		}
-		idx := 0
-		for ci, ch := range cl.Plan.Chains {
-			chain := c.chains[core][ci]
-			n := ch.OutCells
-			base := ch.InCells + ch.ScanBits()
-			if inCell {
-				n = ch.InCells
-				base = 0
-			}
-			if k < idx+n {
-				return chain[base+(k-idx)]
-			}
-			idx += n
-		}
+// cell reads a wrapper cell.
+func (c *Chip) cell(ref cellRef) bool {
+	if ref.lane < 0 {
+		return false
 	}
-	return false
+	return c.scan[ref.lane].chains[ref.chain][ref.pos]
 }
 
 // BISTSatisfied reports whether the current session ran long enough to

@@ -67,16 +67,22 @@ func (a *ATPG) ScanCount() int { return a.scanCount }
 // FuncCount returns the number of functional patterns.
 func (a *ATPG) FuncCount() int { return a.funcCount }
 
-func prandBits(seed uint64, n int) []bool {
-	bits := make([]bool, n)
-	var word uint64
-	for i := 0; i < n; i++ {
-		if i%64 == 0 {
-			word = splitmix64(seed + uint64(i/64))
-		}
-		bits[i] = word&1 == 1
-		word >>= 1
+// prandWords fills dst with seeded pseudo-random words, the packed form of
+// prandBits: bit i of the stream is bit i%64 of splitmix64(seed + i/64).
+func prandWords(seed uint64, dst []uint64, n int) {
+	for k := range dst {
+		dst[k] = splitmix64(seed + uint64(k))
 	}
+	if r := n & 63; r != 0 {
+		dst[len(dst)-1] &= uint64(1)<<r - 1
+	}
+}
+
+func prandBits(seed uint64, n int) []bool {
+	w := make([]uint64, Words(n))
+	prandWords(seed, w, n)
+	bits := make([]bool, n)
+	unpackBits(bits, w)
 	return bits
 }
 
@@ -125,12 +131,10 @@ func (a *ATPG) FuncPattern(i int) (FuncPattern, error) {
 // FuncWalk streams the functional pattern sequence from reset; fn returning
 // false stops early.
 func (a *ATPG) FuncWalk(fn func(i int, p FuncPattern) bool) {
-	state := a.Model.FuncReset()
+	next := a.FuncStream()
 	for i := 0; i < a.funcCount; i++ {
-		pi := prandBits(splitmix64(a.funcSeed^0x60000^uint64(i)), a.Core().PIs)
-		var po []bool
-		state, po = a.Model.FuncStep(state, pi)
-		if !fn(i, FuncPattern{PI: pi, ExpectPO: po}) {
+		p, _ := next()
+		if !fn(i, p) {
 			return
 		}
 	}

@@ -150,125 +150,98 @@ func (prog *Program) AttachExtest(sessionIdx int, lane *ExtestLane) error {
 }
 
 // extestImages renders vector v as per-core, per-chain load and expect
-// images.  Load: source out-cells drive their wire's bit, everything else
-// is don't-care (padded 0).  Expect: sink in-cells must capture the driven
-// bit; everything else is X.
-func (l *ExtestLane) extestImages(v int) (load, expect map[string][][]Bit) {
-	load = make(map[string][][]Bit, len(l.Cores))
-	expect = make(map[string][][]Bit, len(l.Cores))
-	// Per core: map PO index -> drive bit, PI index -> expected bit.
-	poDrive := make(map[string]map[int]Bit)
-	piExpect := make(map[string]map[int]Bit)
+// images, indexed like l.Cores.  Load: source out-cells drive their wire's
+// bit, everything else is don't-care (padded 0).  Expect: sink in-cells
+// must capture the driven bit; everything else is X.
+func (l *ExtestLane) extestImages(v int) (load, expect [][][]Bit) {
+	lane := make(map[string]int, len(l.Cores))
+	load = make([][][]Bit, len(l.Cores))
+	expect = make([][][]Bit, len(l.Cores))
+	for i, cl := range l.Cores {
+		lane[cl.Core.Name] = i
+		for _, ch := range cl.Plan.Chains {
+			lc, ec := make([]Bit, ch.Length()), make([]Bit, ch.Length())
+			for k := range lc {
+				lc[k], ec[k] = BX, BX
+			}
+			load[i] = append(load[i], lc)
+			expect[i] = append(expect[i], ec)
+		}
+	}
 	for wi, w := range l.Wires {
 		b := FromBool(l.ExtestDrive(wi, v))
-		if poDrive[w.FromCore] == nil {
-			poDrive[w.FromCore] = make(map[int]Bit)
-		}
-		poDrive[w.FromCore][w.FromPO] = b
-		if piExpect[w.ToCore] == nil {
-			piExpect[w.ToCore] = make(map[int]Bit)
-		}
-		piExpect[w.ToCore][w.ToPI] = b
-	}
-	for _, cl := range l.Cores {
-		piIdx, poIdx := 0, 0
-		var li, ei [][]Bit
-		for _, ch := range cl.Plan.Chains {
-			lc := make([]Bit, 0, ch.Length())
-			ec := make([]Bit, 0, ch.Length())
-			for k := 0; k < ch.InCells; k++ {
-				lc = append(lc, BX)
-				if b, ok := piExpect[cl.Core.Name][piIdx]; ok {
-					ec = append(ec, b)
-				} else {
-					ec = append(ec, BX)
-				}
-				piIdx++
+		if i, ok := lane[w.FromCore]; ok {
+			if ci, pos, ok := l.Cores[i].Cell(false, w.FromPO); ok {
+				load[i][ci][pos] = b
 			}
-			for _, seg := range ch.SegmentBits {
-				for k := 0; k < seg; k++ {
-					lc = append(lc, BX)
-					ec = append(ec, BX)
-				}
-			}
-			for k := 0; k < ch.OutCells; k++ {
-				if b, ok := poDrive[cl.Core.Name][poIdx]; ok {
-					lc = append(lc, b)
-				} else {
-					lc = append(lc, BX)
-				}
-				ec = append(ec, BX)
-				poIdx++
-			}
-			li = append(li, lc)
-			ei = append(ei, ec)
 		}
-		load[cl.Core.Name] = li
-		expect[cl.Core.Name] = ei
+		if i, ok := lane[w.ToCore]; ok {
+			if ci, pos, ok := l.Cores[i].Cell(true, w.ToPI); ok {
+				expect[i][ci][pos] = b
+			}
+		}
 	}
 	return load, expect
 }
 
+// Cell locates a boundary cell in the core's wrapper chains: inCell
+// selects input cell k (the PI index), otherwise output cell k (the PO
+// index), walking the sequential cell allocation across the chains.  It
+// returns the wrapper chain and the position in it (0 = nearest TAM-in).
+func (cl *ExtestCoreLane) Cell(inCell bool, k int) (chain, pos int, ok bool) {
+	idx := 0
+	for ci, ch := range cl.Plan.Chains {
+		n, base := ch.OutCells, ch.InCells+ch.ScanBits()
+		if inCell {
+			n, base = ch.InCells, 0
+		}
+		if k < idx+n {
+			return ci, base + (k - idx), true
+		}
+		idx += n
+	}
+	return 0, 0, false
+}
+
 // streamExtest emits the EXTEST session cycles: all cores shift together
 // for MaxLen cycles per vector (update+capture on the MaxLen+1-th), then a
-// final unload.
-func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) bool) error {
-	cyc := &Cycle{
-		TamIn:      make([]Bit, prog.TamWidth),
-		TamExpect:  make([]Bit, prog.TamWidth),
-		Func:       make([]Bit, prog.FuncBus),
-		FuncExpect: make([]Bit, prog.FuncBus),
-		Actions:    make(map[string]CoreAction),
-	}
+// final unload.  *emitted counts the cycles handed to fn.
+func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) bool, emitted *int) error {
+	cyc := prog.newCycle(len(lane.Cores))
 	L := lane.MaxLen
 	period := L + 1
-	var curLoad, prevExpect map[string][][]Bit
-	c := 0
+	var curLoad, prevExpect [][][]Bit
 	emit := func() bool {
-		obsCyclesStreamed.Add(1)
-		ok := fn(c, cyc)
-		c++
-		return ok
-	}
-	clear := func() {
-		for i := range cyc.TamIn {
-			cyc.TamIn[i] = BX
-			cyc.TamExpect[i] = BX
-		}
-		for i := range cyc.Func {
-			cyc.Func[i] = BX
-			cyc.FuncExpect[i] = BX
-		}
-		for k := range cyc.Actions {
-			delete(cyc.Actions, k)
-		}
+		c := *emitted
+		*emitted++
+		return fn(c, cyc)
 	}
 	for v := 0; v < lane.Vectors; v++ {
 		load, expect := lane.extestImages(v)
 		curLoad = load
 		for k := 0; k < period; k++ {
-			clear()
+			cyc.reset()
 			if k < L {
-				for _, cl := range lane.Cores {
-					cyc.Actions[cl.Core.Name] = ActShift
-					for ci, img := range curLoad[cl.Core.Name] {
+				for i, cl := range lane.Cores {
+					cyc.Actions[i] = ActShift
+					for ci, img := range curLoad[i] {
 						wire := cl.WireLo + ci
 						if idx := L - 1 - k; idx < len(img) {
-							cyc.TamIn[wire] = img[idx]
+							cyc.TamIn.Set(wire, img[idx])
 						} else {
-							cyc.TamIn[wire] = B0
+							cyc.TamIn.Set(wire, B0)
 						}
 						if prevExpect != nil {
-							pimg := prevExpect[cl.Core.Name][ci]
+							pimg := prevExpect[i][ci]
 							if idx := len(pimg) - 1 - k; idx >= 0 {
-								cyc.TamExpect[wire] = pimg[idx]
+								cyc.TamExpect.Set(wire, pimg[idx])
 							}
 						}
 					}
 				}
 			} else {
-				for _, cl := range lane.Cores {
-					cyc.Actions[cl.Core.Name] = ActCapture
+				for i := range lane.Cores {
+					cyc.Actions[i] = ActCapture
 				}
 			}
 			if !emit() {
@@ -279,14 +252,14 @@ func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) b
 	}
 	// Final unload.
 	for k := 0; k < L; k++ {
-		clear()
-		for _, cl := range lane.Cores {
-			cyc.Actions[cl.Core.Name] = ActShift
-			for ci, pimg := range prevExpect[cl.Core.Name] {
+		cyc.reset()
+		for i, cl := range lane.Cores {
+			cyc.Actions[i] = ActShift
+			for ci, pimg := range prevExpect[i] {
 				wire := cl.WireLo + ci
-				cyc.TamIn[wire] = B0
+				cyc.TamIn.Set(wire, B0)
 				if idx := len(pimg) - 1 - k; idx >= 0 {
-					cyc.TamExpect[wire] = pimg[idx]
+					cyc.TamExpect.Set(wire, pimg[idx])
 				}
 			}
 		}

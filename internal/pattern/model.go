@@ -15,6 +15,8 @@
 package pattern
 
 import (
+	"math/bits"
+
 	"steac/internal/testinfo"
 )
 
@@ -143,9 +145,17 @@ func (m *CoreModel) POSpec(j int) TapSpec { return m.poSpec(j, m.stateBits, m.Co
 // Each next-state bit mixes one state tap, one PI tap and a keyed constant;
 // each PO bit likewise, so every load bit influences observable outputs.
 func (m *CoreModel) Capture(state, pi []bool) (next, po []bool) {
+	next = make([]bool, len(state))
+	po = make([]bool, m.Core.POs)
+	m.CaptureInto(state, pi, next, po)
+	return next, po
+}
+
+// CaptureInto is Capture writing into caller-owned next (len(state)) and
+// po (Core.POs) vectors.
+func (m *CoreModel) CaptureInto(state, pi, next, po []bool) {
 	n := len(state)
-	next = make([]bool, n)
-	for i := 0; i < n; i++ {
+	for i := range next {
 		sp := m.nextSpec(i, n, len(pi))
 		v := sp.Invert
 		if sp.StateTap >= 0 && state[sp.StateTap] {
@@ -156,7 +166,6 @@ func (m *CoreModel) Capture(state, pi []bool) (next, po []bool) {
 		}
 		next[i] = v
 	}
-	po = make([]bool, m.Core.POs)
 	for j := range po {
 		sp := m.poSpec(j, n, len(pi))
 		var sTap, pTap bool
@@ -172,28 +181,35 @@ func (m *CoreModel) Capture(state, pi []bool) (next, po []bool) {
 		}
 		po[j] = v != (sTap && pTap)
 	}
-	return next, po
 }
 
 // FuncReset returns the functional machine's initial internal state.
 func (m *CoreModel) FuncReset() uint64 { return splitmix64(m.Seed ^ 0xF0F0) }
 
 // FuncStep advances the functional Mealy machine one pattern: it mixes the
-// PI vector into the internal state and produces the PO vector.
-func (m *CoreModel) FuncStep(state uint64, pi []bool) (uint64, []bool) {
+// PI vector into the internal state and writes the PO vector.  Both are
+// packed (bit i in word i/64, as in Bus): pi holds Core.PIs bits and
+// nothing above them, po receives Words(Core.POs) words, fully
+// overwritten.  The mixed state's low bits are the POs, so the first PO
+// word is the state itself; only POs past 64 cost a bit each.
+func (m *CoreModel) FuncStep(state uint64, pi, po []uint64) uint64 {
 	h := state
-	for i, v := range pi {
-		if v {
+	for w, word := range pi {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
 			h ^= splitmix64(m.Seed ^ 0xB0000 ^ uint64(i))
 		}
 	}
 	h = splitmix64(h)
-	po := make([]bool, m.Core.POs)
-	for j := range po {
-		po[j] = (h>>(uint(j)%64))&1 == 1
-		if j >= 64 {
-			po[j] = po[j] != (splitmix64(h^uint64(j))&1 == 1)
-		}
+	n := m.Core.POs
+	for w := range po {
+		po[w] = h
 	}
-	return h, po
+	for j := 64; j < n; j++ {
+		po[j>>6] ^= (splitmix64(h^uint64(j)) & 1) << (j & 63)
+	}
+	if r := n & 63; r != 0 {
+		po[len(po)-1] &= uint64(1)<<r - 1
+	}
+	return h
 }

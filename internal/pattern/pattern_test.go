@@ -200,7 +200,7 @@ func TestChainImagesProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			load, expect := chainImages(lane, p)
+			load, expect := ChainImages(lane, p)
 			for ci, ch := range plan.Chains {
 				if len(load[ci]) != ch.Length() || len(expect[ci]) != ch.Length() {
 					return false

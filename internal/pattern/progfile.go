@@ -36,18 +36,27 @@ func WriteProgramFile(w io.Writer, prog *Program) error {
 		progMagic, prog.TamWidth, prog.FuncBus, len(prog.Sessions))
 	for _, layout := range prog.Sessions {
 		fmt.Fprintf(bw, "SESSION %d cycles=%d\n", layout.Index, layout.Cycles)
+		// Actions print in core-name order.
+		names := layout.LaneNames()
+		order := make([]int, len(names))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return names[order[a]] < names[order[b]] })
+		var line []byte
 		err := prog.Stream(layout, func(c int, cyc *Cycle) bool {
-			bw.WriteString("V ")
-			writeBits(bw, cyc.TamIn, "01X")
-			bw.WriteByte(' ')
-			writeBits(bw, cyc.TamExpect, "LHX")
-			bw.WriteByte(' ')
-			writeBits(bw, cyc.Func, "01X")
-			bw.WriteByte(' ')
-			writeBits(bw, cyc.FuncExpect, "LHX")
-			bw.WriteByte(' ')
-			writeActions(bw, cyc.Actions)
-			bw.WriteByte('\n')
+			line = append(line[:0], "V "...)
+			line = appendBits(line, &cyc.TamIn, "01X")
+			line = append(line, ' ')
+			line = appendBits(line, &cyc.TamExpect, "LHX")
+			line = append(line, ' ')
+			line = appendBits(line, &cyc.Func, "01X")
+			line = append(line, ' ')
+			line = appendBits(line, &cyc.FuncExpect, "LHX")
+			line = append(line, ' ')
+			line = appendActions(line, cyc.Actions, names, order)
+			line = append(line, '\n')
+			bw.Write(line)
 			return true
 		})
 		if err != nil {
@@ -57,47 +66,67 @@ func WriteProgramFile(w io.Writer, prog *Program) error {
 	return bw.Flush()
 }
 
-func writeBits(bw *bufio.Writer, bits []Bit, alphabet string) {
-	if len(bits) == 0 {
-		bw.WriteByte('-')
-		return
+// appendBits renders a bus a word at a time: alphabet[0] for 0,
+// alphabet[1] for 1, alphabet[2] for X; "-" for an empty bus.
+func appendBits(line []byte, bus *Bus, alphabet string) []byte {
+	if bus.Len() == 0 {
+		return append(line, '-')
 	}
-	for _, b := range bits {
-		bw.WriteByte(alphabet[b])
+	for w, care := range bus.Care {
+		val, n := bus.Val[w], min(64, bus.Len()-w<<6)
+		if care == 0 {
+			for k := 0; k < n; k++ {
+				line = append(line, alphabet[2])
+			}
+			continue
+		}
+		for k := 0; k < n; k++ {
+			idx := 2
+			if care>>k&1 == 1 {
+				idx = int(val >> k & 1)
+			}
+			line = append(line, alphabet[idx])
+		}
 	}
+	return line
 }
 
-func writeActions(bw *bufio.Writer, actions map[string]CoreAction) {
-	if len(actions) == 0 {
-		bw.WriteByte('-')
-		return
-	}
-	names := make([]string, 0, len(actions))
-	for n := range actions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 {
-			bw.WriteByte(',')
+func appendActions(line []byte, actions []CoreAction, names []string, order []int) []byte {
+	n := 0
+	for _, i := range order {
+		if actions[i] == ActIdle {
+			continue
 		}
-		bw.WriteString(n)
-		if actions[n] == ActCapture {
-			bw.WriteString(":C")
+		if n > 0 {
+			line = append(line, ',')
+		}
+		n++
+		line = append(line, names[i]...)
+		if actions[i] == ActCapture {
+			line = append(line, ":C"...)
 		} else {
-			bw.WriteString(":S")
+			line = append(line, ":S"...)
 		}
 	}
+	if n == 0 {
+		line = append(line, '-')
+	}
+	return line
 }
 
-// RecordedCycle is one parsed vector line.
+// RecordedCycle is one parsed vector line.  Its Actions are indexed like
+// the session's RecordedSession.Lanes and may be shorter than Lanes: lanes
+// first named after this line are idle in it.
 type RecordedCycle struct {
 	Cycle
 }
 
-// RecordedSession is one parsed session.
+// RecordedSession is one parsed session.  A tester file names scan lanes
+// by core, so Lanes lists the cores the session's action fields name, in
+// order of first appearance.
 type RecordedSession struct {
 	Index  int
+	Lanes  []string
 	Cycles []RecordedCycle
 }
 
@@ -141,6 +170,7 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 		return nil, err
 	}
 	var cur *RecordedSession
+	var lanes map[string]int
 	line := 1
 	for sc.Scan() {
 		line++
@@ -157,11 +187,12 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 			}
 			prog.Sessions = append(prog.Sessions, RecordedSession{Index: idx})
 			cur = &prog.Sessions[len(prog.Sessions)-1]
+			lanes = make(map[string]int)
 		case strings.HasPrefix(text, "V "):
 			if cur == nil {
 				return nil, fmt.Errorf("pattern: line %d: vector before any session", line)
 			}
-			rc, err := parseVectorLine(text, prog.TamWidth, prog.FuncBus)
+			rc, err := parseVectorLine(text, prog.TamWidth, prog.FuncBus, cur, lanes)
 			if err != nil {
 				return nil, fmt.Errorf("pattern: line %d: %w", line, err)
 			}
@@ -193,7 +224,9 @@ func intField(s, key string) (int, error) {
 	return n, nil
 }
 
-func parseVectorLine(text string, tamW, funcW int) (RecordedCycle, error) {
+// parseVectorLine parses one V line of session cur; lanes maps the core
+// names already in cur.Lanes to their index.
+func parseVectorLine(text string, tamW, funcW int, cur *RecordedSession, lanes map[string]int) (RecordedCycle, error) {
 	fields := strings.Fields(text)
 	if len(fields) != 6 {
 		return RecordedCycle{}, fmt.Errorf("want 6 fields, got %d", len(fields))
@@ -212,43 +245,61 @@ func parseVectorLine(text string, tamW, funcW int) (RecordedCycle, error) {
 	if rc.FuncExpect, err = parseBits(fields[4], funcW, "LHX"); err != nil {
 		return rc, err
 	}
-	rc.Actions = make(map[string]CoreAction)
-	if fields[5] != "-" {
-		for _, part := range strings.Split(fields[5], ",") {
-			name, act, ok := strings.Cut(part, ":")
-			if !ok {
-				return rc, fmt.Errorf("bad action %q", part)
-			}
-			switch act {
-			case "S":
-				rc.Actions[name] = ActShift
-			case "C":
-				rc.Actions[name] = ActCapture
-			default:
-				return rc, fmt.Errorf("unknown action %q", act)
-			}
+	if fields[5] == "-" {
+		return rc, nil
+	}
+	parts := strings.Split(fields[5], ",")
+	type named struct {
+		lane int
+		act  CoreAction
+	}
+	acts := make([]named, 0, len(parts))
+	for _, part := range parts {
+		name, act, ok := strings.Cut(part, ":")
+		if !ok {
+			return rc, fmt.Errorf("bad action %q", part)
 		}
+		var a CoreAction
+		switch act {
+		case "S":
+			a = ActShift
+		case "C":
+			a = ActCapture
+		default:
+			return rc, fmt.Errorf("unknown action %q", act)
+		}
+		i, ok := lanes[name]
+		if !ok {
+			i = len(cur.Lanes)
+			lanes[name] = i
+			cur.Lanes = append(cur.Lanes, name)
+		}
+		acts = append(acts, named{i, a})
+	}
+	rc.Actions = make([]CoreAction, len(cur.Lanes))
+	for _, a := range acts {
+		rc.Actions[a.lane] = a.act
 	}
 	return rc, nil
 }
 
-func parseBits(s string, width int, alphabet string) ([]Bit, error) {
+func parseBits(s string, width int, alphabet string) (Bus, error) {
 	if s == "-" {
 		if width != 0 {
-			return nil, fmt.Errorf("empty bus but width %d", width)
+			return Bus{}, fmt.Errorf("empty bus but width %d", width)
 		}
-		return nil, nil
+		return NewBus(0), nil
 	}
 	if len(s) != width {
-		return nil, fmt.Errorf("bus has %d chars, want %d", len(s), width)
+		return Bus{}, fmt.Errorf("bus has %d chars, want %d", len(s), width)
 	}
-	bits := make([]Bit, width)
+	bus := NewBus(width)
 	for i := 0; i < width; i++ {
 		idx := strings.IndexByte(alphabet, s[i])
 		if idx < 0 {
-			return nil, fmt.Errorf("invalid char %q (alphabet %s)", string(s[i]), alphabet)
+			return Bus{}, fmt.Errorf("invalid char %q (alphabet %s)", string(s[i]), alphabet)
 		}
-		bits[i] = Bit(idx)
+		bus.Set(i, Bit(idx))
 	}
-	return bits, nil
+	return bus, nil
 }

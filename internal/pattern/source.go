@@ -25,17 +25,54 @@ var _ Source = (*ATPG)(nil)
 // FuncStream implements Source for the synthetic ATPG by replaying the
 // Mealy machine.
 func (a *ATPG) FuncStream() func() (FuncPattern, bool) {
-	state := a.Model.FuncReset()
-	i := 0
+	core := a.Core()
+	next := a.funcWords()
+	pi := make([]uint64, Words(core.PIs))
+	po := make([]uint64, Words(core.POs))
 	return func() (FuncPattern, bool) {
-		if i >= a.funcCount {
+		if !next(pi, po) {
 			return FuncPattern{}, false
 		}
-		pi := prandBits(splitmix64(a.funcSeed^0x60000^uint64(i)), a.Core().PIs)
-		var po []bool
-		state, po = a.Model.FuncStep(state, pi)
+		p := FuncPattern{PI: make([]bool, core.PIs), ExpectPO: make([]bool, core.POs)}
+		unpackBits(p.PI, pi)
+		unpackBits(p.ExpectPO, po)
+		return p, true
+	}
+}
+
+// funcWords is the ATPG's functional pattern generator: each call writes
+// the next pattern's PI and expected PO vectors, packed, into pi
+// (Words(PIs) words) and po (Words(POs) words).
+func (a *ATPG) funcWords() func(pi, po []uint64) bool {
+	nPI := a.Core().PIs
+	state := a.Model.FuncReset()
+	i := 0
+	return func(pi, po []uint64) bool {
+		if i >= a.funcCount {
+			return false
+		}
+		prandWords(splitmix64(a.funcSeed^0x60000^uint64(i)), pi, nPI)
+		state = a.Model.FuncStep(state, pi, po)
 		i++
-		return FuncPattern{PI: pi, ExpectPO: po}, true
+		return true
+	}
+}
+
+// packedFuncStream returns src's functional patterns packed, as funcWords
+// does: straight from the generator for the ATPG, packed from FuncStream
+// otherwise.
+func packedFuncStream(src Source) func(pi, po []uint64) bool {
+	if a, ok := src.(*ATPG); ok {
+		return a.funcWords()
+	}
+	next := src.FuncStream()
+	return func(pi, po []uint64) bool {
+		p, ok := next()
+		if ok {
+			packBits(pi, p.PI)
+			packBits(po, p.ExpectPO)
+		}
+		return ok
 	}
 }
 

@@ -31,13 +31,37 @@ const (
 	ActCapture
 )
 
-// Cycle is one chip-level tester cycle: drive values and expectations.
+// Cycle is one chip-level tester cycle: drive values and expectations on
+// the packed TAM and functional buses, and the scan control of every lane.
+// Actions is indexed like the session's SessionLayout.LaneNames: by scan
+// lane (layout.Scan), or by core lane (layout.Extest.Cores) in an EXTEST
+// session.
 type Cycle struct {
-	TamIn      []Bit
-	TamExpect  []Bit
-	Actions    map[string]CoreAction
-	Func       []Bit
-	FuncExpect []Bit
+	TamIn      Bus
+	TamExpect  Bus
+	Func       Bus
+	FuncExpect Bus
+	Actions    []CoreAction
+}
+
+// newCycle returns an all-X, all-idle cycle for one session of prog.
+func (prog *Program) newCycle(lanes int) *Cycle {
+	return &Cycle{
+		TamIn:      NewBus(prog.TamWidth),
+		TamExpect:  NewBus(prog.TamWidth),
+		Func:       NewBus(prog.FuncBus),
+		FuncExpect: NewBus(prog.FuncBus),
+		Actions:    make([]CoreAction, lanes),
+	}
+}
+
+// reset returns the cycle to all-X, all-idle.
+func (cyc *Cycle) reset() {
+	cyc.TamIn.Clear()
+	cyc.TamExpect.Clear()
+	cyc.Func.Clear()
+	cyc.FuncExpect.Clear()
+	clear(cyc.Actions)
 }
 
 // ScanLane is one wrapped scan core's share of a session: its wrapper-chain
@@ -80,6 +104,22 @@ type SessionLayout struct {
 	// Extest, when set, makes this an interconnect-test session (no scan
 	// or functional lanes).
 	Extest *ExtestLane
+}
+
+// LaneNames names the session's lanes in Cycle.Actions order: the scan
+// lanes' cores, or the EXTEST session's cores.
+func (l *SessionLayout) LaneNames() []string {
+	var names []string
+	if l.Extest != nil {
+		for _, cl := range l.Extest.Cores {
+			names = append(names, cl.Core.Name)
+		}
+		return names
+	}
+	for _, lane := range l.Scan {
+		names = append(names, lane.Core.Name)
+	}
+	return names
 }
 
 // Program is the chip-level test program for a whole schedule.
@@ -220,134 +260,148 @@ func (a *allocator) alloc(n, start, dur int) (int, error) {
 	return 0, fmt.Errorf("pattern: no %d contiguous units free of %d", n, a.size)
 }
 
-// laneState is the translator's per-scan-lane streaming state.
+// laneState is the translator's per-scan-lane streaming state.  The
+// lane's shape is fixed per session, and each scan pattern is generated
+// once: pattern t's expect image is what unloads while pattern t+1 loads,
+// and the last one is the final unload.
 type laneState struct {
-	lane ScanLane
-	// chain contents expected on the chip after the previous capture
-	// (what unloads while the next pattern loads); nil before pattern 0.
-	prev [][]Bit
-	// current load images per chain (what we are shifting in).
-	cur [][]Bit
-	pat int
+	lane *ScanLane
+	// L is the longest wrapper chain, p the pattern count, period = L+1
+	// the cycles per pattern (L shifts and a capture).
+	L, p, period int
+	// load is the current pattern's load image per chain (what we are
+	// shifting in); expect[t&1] is pattern t's post-capture image.
+	load   [][]Bit
+	expect [2][][]Bit
+	// unload is the previous pattern's expect image (what the chip holds
+	// and shifts out); nil before pattern 0 has been captured.
+	unload [][]Bit
 }
 
-// chainImages renders a scan pattern as per-wrapper-chain content vectors
-// (index 0 = cell nearest the chip's TAM-in pin).
-//
-// loadImage: in-cells carry the PI stimulus (allocated sequentially across
-// chains, matching wrapper.Generate), segments carry the chain load data,
-// out-cells are don't-care.  expectImage: the post-capture content — the
-// in-cells captured the quiescent chip-side pins (0), segments hold the
-// expected next state, out-cells hold the expected POs.
-func chainImages(lane ScanLane, p ScanPattern) (load, expect [][]Bit) {
-	piIdx, poIdx := 0, 0
-	for _, ch := range lane.Plan.Chains {
-		li := make([]Bit, 0, ch.Length())
-		ei := make([]Bit, 0, ch.Length())
-		for k := 0; k < ch.InCells; k++ {
-			li = append(li, FromBool(p.PI[piIdx]))
-			ei = append(ei, B0) // captured chip-side quiescent level
-			piIdx++
+func newLaneState(lane *ScanLane) *laneState {
+	L := lane.Plan.MaxLength()
+	ls := &laneState{lane: lane, L: L, p: lane.Source.ScanCount(), period: L + 1}
+	ls.load = chainBuffers(lane)
+	ls.expect[0] = chainBuffers(lane)
+	ls.expect[1] = chainBuffers(lane)
+	return ls
+}
+
+// chainBuffers allocates one image per wrapper chain of the lane: its
+// boundary cells and the core scan chains it carries (a soft core's
+// synthetic segments carry no pattern data and have no image).
+func chainBuffers(lane *ScanLane) [][]Bit {
+	bufs := make([][]Bit, len(lane.Plan.Chains))
+	for ci, ch := range lane.Plan.Chains {
+		n := ch.InCells + ch.OutCells
+		for _, cc := range ch.CoreChains {
+			n += lane.Core.ScanChains[cc].Length
 		}
-		for _, ci := range ch.CoreChains {
-			for k := 0; k < len(p.Load[ci]); k++ {
-				li = append(li, FromBool(p.Load[ci][k]))
-				ei = append(ei, FromBool(p.ExpectUnload[ci][k]))
-			}
-		}
-		for k := 0; k < ch.OutCells; k++ {
-			li = append(li, BX)
-			ei = append(ei, FromBool(p.ExpectPO[poIdx]))
-			poIdx++
-		}
-		load = append(load, li)
-		expect = append(expect, ei)
+		bufs[ci] = make([]Bit, n)
 	}
-	return load, expect
+	return bufs
 }
 
 // ChainImages renders a scan pattern as per-wrapper-chain load and expect
 // vectors (index 0 = cell nearest the chip's TAM-in pin), exactly as the
 // translator streams them.  Gate-level cross-checkers use it to drive a
 // flattened wrapper with the same images the ATE applies.
+//
+// Load image: in-cells carry the PI stimulus (allocated sequentially
+// across chains, matching wrapper.Generate), segments carry the chain load
+// data, out-cells are don't-care.  Expect image: the post-capture content
+// — the in-cells captured the quiescent chip-side pins (0), segments hold
+// the expected next state, out-cells hold the expected POs.
 func ChainImages(lane ScanLane, p ScanPattern) (load, expect [][]Bit) {
-	return chainImages(lane, p)
+	load, expect = chainBuffers(&lane), chainBuffers(&lane)
+	chainImagesInto(&lane, p, load, expect)
+	return load, expect
+}
+
+// chainImagesInto is ChainImages writing into buffers from chainBuffers.
+func chainImagesInto(lane *ScanLane, p ScanPattern, load, expect [][]Bit) {
+	piIdx, poIdx := 0, 0
+	for ci, ch := range lane.Plan.Chains {
+		li, ei := load[ci], expect[ci]
+		pos := 0
+		for k := 0; k < ch.InCells; k++ {
+			li[pos] = FromBool(p.PI[piIdx])
+			ei[pos] = B0 // captured chip-side quiescent level
+			piIdx++
+			pos++
+		}
+		for _, cc := range ch.CoreChains {
+			for k, v := range p.Load[cc] {
+				li[pos] = FromBool(v)
+				ei[pos] = FromBool(p.ExpectUnload[cc][k])
+				pos++
+			}
+		}
+		for k := 0; k < ch.OutCells; k++ {
+			li[pos] = BX
+			ei[pos] = FromBool(p.ExpectPO[poIdx])
+			poIdx++
+			pos++
+		}
+	}
 }
 
 // funcState streams a functional lane pattern by pattern (pull-based, no
-// materialization: the source's own iterator supplies the sequence).
+// materialization: the source's own iterator supplies the sequence).  The
+// current pattern is held packed, so a cycle's slots are written a word
+// at a time.
 type funcState struct {
-	lane    FuncLane
-	next    func() (FuncPattern, bool)
-	cur     FuncPattern
+	lane    *FuncLane
+	next    func(pi, po []uint64) bool
 	curIdx  int
 	haveCur bool
+	pi, po  []uint64
 }
 
-func newFuncState(lane FuncLane) *funcState {
+func newFuncState(lane *FuncLane) *funcState {
 	return &funcState{
 		lane:   lane,
-		next:   lane.Source.FuncStream(),
+		next:   packedFuncStream(lane.Source),
 		curIdx: -1,
+		pi:     make([]uint64, Words(lane.Core.PIs)),
+		po:     make([]uint64, Words(lane.Core.POs)),
 	}
 }
 
 // advance pulls the next functional pattern in sequence.
 func (fs *funcState) advance() bool {
-	p, ok := fs.next()
-	if !ok {
-		fs.haveCur = false
-		return false
-	}
-	fs.cur = p
-	fs.haveCur = true
-	return true
+	fs.haveCur = fs.next(fs.pi, fs.po)
+	return fs.haveCur
 }
 
 // Stream generates the chip-level cycle sequence of one session, calling fn
 // for every cycle; fn returning false aborts.  The emitted cycle count
 // always equals layout.Cycles: lanes that finish early idle, and BIST-only
 // padding idles everything (the on-chip BIST keeps running during those
-// cycles).
+// cycles).  The Cycle passed to fn is reused: it is valid only until fn
+// returns.
 func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) bool) error {
 	tm := obsSpanStream.Start()
 	defer tm.Stop()
 	emitted := 0
 	defer func() { obsCyclesStreamed.Add(int64(emitted)) }()
 	if layout.Extest != nil {
-		return prog.streamExtest(layout.Extest, fn)
+		return prog.streamExtest(layout.Extest, fn, &emitted)
 	}
 	lanes := make([]*laneState, len(layout.Scan))
-	for i, l := range layout.Scan {
-		lanes[i] = &laneState{lane: l}
+	for i := range layout.Scan {
+		lanes[i] = newLaneState(&layout.Scan[i])
 	}
 	funcs := make([]*funcState, len(layout.Func))
-	for i, l := range layout.Func {
-		funcs[i] = newFuncState(l)
+	for i := range layout.Func {
+		funcs[i] = newFuncState(&layout.Func[i])
 	}
 
-	cyc := &Cycle{
-		TamIn:      make([]Bit, prog.TamWidth),
-		TamExpect:  make([]Bit, prog.TamWidth),
-		Func:       make([]Bit, prog.FuncBus),
-		FuncExpect: make([]Bit, prog.FuncBus),
-		Actions:    make(map[string]CoreAction),
-	}
+	cyc := prog.newCycle(len(lanes))
 	for c := 0; c < layout.Cycles; c++ {
-		for i := range cyc.TamIn {
-			cyc.TamIn[i] = BX
-			cyc.TamExpect[i] = BX
-		}
-		for i := range cyc.Func {
-			cyc.Func[i] = BX
-			cyc.FuncExpect[i] = BX
-		}
-		for k := range cyc.Actions {
-			delete(cyc.Actions, k)
-		}
-
-		for _, ls := range lanes {
-			if err := ls.emit(c, cyc); err != nil {
+		cyc.reset()
+		for i, ls := range lanes {
+			if err := ls.emit(c, i, cyc); err != nil {
 				return err
 			}
 		}
@@ -362,81 +416,73 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 	return nil
 }
 
-func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
+// emit writes lane i's drive, expectations and action for session cycle
+// cycleIdx.
+func (ls *laneState) emit(cycleIdx, i int, cyc *Cycle) error {
 	lane := ls.lane
-	L := lane.Plan.MaxLength()
-	p := lane.Source.ScanCount()
 	c := cycleIdx - lane.Start
-	if c < 0 || c >= lane.Cycles || p == 0 {
+	if c < 0 || c >= lane.Cycles || ls.p == 0 {
 		return nil
 	}
-	name := lane.Core.Name
-	period := L + 1
-	if c < period*p {
-		t, k := c/period, c%period
+	L := ls.L
+	if c < ls.period*ls.p {
+		t, k := c/ls.period, c%ls.period
 		if k == 0 {
-			// Entering pattern t: pull its images.
+			// Entering pattern t: render its images once.  Pattern t-1's
+			// expect image is what unloads now.
 			sp, err := lane.Source.ScanPattern(t)
 			if err != nil {
 				return err
 			}
-			ls.cur, _ = chainImages(lane, sp)
+			chainImagesInto(lane, sp, ls.load, ls.expect[t&1])
 			if t > 0 {
-				spPrev, err := lane.Source.ScanPattern(t - 1)
-				if err != nil {
-					return err
-				}
-				_, ls.prev = chainImages(lane, spPrev)
-			} else {
-				ls.prev = nil
+				ls.unload = ls.expect[(t-1)&1]
 			}
 		}
-		if k < L {
-			cyc.Actions[name] = ActShift
-			for ci, img := range ls.cur {
-				wire := lane.WireLo + ci
-				// Shift-in order: after L shifts, cell j holds the input
-				// from cycle L-1-j, so drive img[L-1-k]; cycles addressing
-				// beyond a shorter chain's length are padding.
-				if idx := L - 1 - k; idx < len(img) {
-					cyc.TamIn[wire] = img[idx]
-				} else {
-					cyc.TamIn[wire] = B0
-				}
-				// Unload of the previous pattern drains head-first... the
-				// cell nearest TAM-out leaves first.
-				if ls.prev != nil {
-					pimg := ls.prev[ci]
-					if idx := len(pimg) - 1 - k; idx >= 0 {
-						cyc.TamExpect[wire] = pimg[idx]
-					}
+		if k == L {
+			cyc.Actions[i] = ActCapture
+			return nil
+		}
+		cyc.Actions[i] = ActShift
+		for ci, img := range ls.load {
+			wire := lane.WireLo + ci
+			// Shift-in order: after L shifts, cell j holds the input from
+			// cycle L-1-j, so drive img[L-1-k]; cycles addressing beyond a
+			// shorter chain's length are padding.
+			if idx := L - 1 - k; idx < len(img) {
+				cyc.TamIn.Set(wire, img[idx])
+			} else {
+				cyc.TamIn.Set(wire, B0)
+			}
+			// Unload of the previous pattern drains head-first: the cell
+			// nearest TAM-out leaves first.
+			if ls.unload != nil {
+				pimg := ls.unload[ci]
+				if idx := len(pimg) - 1 - k; idx >= 0 {
+					cyc.TamExpect.Set(wire, pimg[idx])
 				}
 			}
-		} else {
-			cyc.Actions[name] = ActCapture
 		}
 		return nil
 	}
-	// Final unload.
-	k := c - period*p
+	// Final unload of the last pattern.
+	k := c - ls.period*ls.p
 	if k < L {
-		cyc.Actions[name] = ActShift
-		sp, err := lane.Source.ScanPattern(p - 1)
-		if err != nil {
-			return err
-		}
-		_, expect := chainImages(lane, sp)
-		for ci, pimg := range expect {
+		cyc.Actions[i] = ActShift
+		for ci, pimg := range ls.expect[(ls.p-1)&1] {
 			wire := lane.WireLo + ci
-			cyc.TamIn[wire] = B0
+			cyc.TamIn.Set(wire, B0)
 			if idx := len(pimg) - 1 - k; idx >= 0 {
-				cyc.TamExpect[wire] = pimg[idx]
+				cyc.TamExpect.Set(wire, pimg[idx])
 			}
 		}
 	}
 	return nil
 }
 
+// emit writes the lane's slots for session cycle c: cycle j of a pattern
+// window carries PI slots j·Slots.. on the drive bus, then the PO slots on
+// the expect bus.
 func (fs *funcState) emit(c int, cyc *Cycle) {
 	lane := fs.lane
 	local := c - lane.Start
@@ -453,13 +499,14 @@ func (fs *funcState) emit(c int, cyc *Cycle) {
 	if !fs.haveCur {
 		return
 	}
-	nPI := len(fs.cur.PI)
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx < nPI {
-			cyc.Func[lane.SlotLo+s] = FromBool(fs.cur.PI[slotIdx])
-		} else if slotIdx < nPI+len(fs.cur.ExpectPO) {
-			cyc.FuncExpect[lane.SlotLo+s] = FromBool(fs.cur.ExpectPO[slotIdx-nPI])
+	nPI, nPO := lane.Core.PIs, lane.Core.POs
+	lo, hi := j*lane.Slots, (j+1)*lane.Slots
+	if n := min(hi, nPI) - lo; n > 0 {
+		cyc.Func.SetBits(lane.SlotLo, fs.pi, lo, n)
+	}
+	if from := max(lo, nPI); from < hi {
+		if n := min(hi, nPI+nPO) - from; n > 0 {
+			cyc.FuncExpect.SetBits(lane.SlotLo+from-lo, fs.po, from-nPI, n)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestStreamGolden(t *testing.T) {
 	}
 	var got []rec
 	err = prog.Stream(layout, func(c int, cyc *Cycle) bool {
-		got = append(got, rec{cyc.TamIn[0], cyc.TamExpect[0], cyc.Actions["T"]})
+		got = append(got, rec{cyc.TamIn.At(0), cyc.TamExpect.At(0), cyc.Actions[0]})
 		return true
 	})
 	if err != nil {

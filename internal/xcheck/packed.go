@@ -333,6 +333,7 @@ func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.
 		}
 	}
 	pollIn := equivPollCycles
+	lane := scanLaneIndex(layout, core.Name)
 	return prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
 		if pollIn--; pollIn <= 0 {
 			pollIn = equivPollCycles
@@ -340,15 +341,19 @@ func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.
 				return false
 			}
 		}
-		switch cyc.Actions[core.Name] {
+		action := pattern.ActIdle
+		if lane >= 0 {
+			action = cyc.Actions[lane]
+		}
+		switch action {
 		case pattern.ActShift:
 			setSE(true)
 			for i, id := range pins.wsi {
-				ps.SetID(id, cyc.TamIn[i] == pattern.B1)
+				ps.SetID(id, cyc.TamIn.At(i) == pattern.B1)
 			}
 			ps.Settle()
 			for i, id := range pins.wso {
-				want := cyc.TamExpect[i]
+				want := cyc.TamExpect.At(i)
 				if want == pattern.BX {
 					continue
 				}

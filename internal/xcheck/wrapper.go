@@ -104,6 +104,17 @@ func wrapDefaults(sim *netlist.CompiledSim, core *testinfo.Core) {
 // aborts the stream.
 type scanObserver func(cycle int, pin string, got, want bool) bool
 
+// scanLaneIndex returns the Cycle.Actions index of core's scan lane in the
+// session, or -1 when the core has none (it idles throughout).
+func scanLaneIndex(layout pattern.SessionLayout, core string) int {
+	for i, lane := range layout.Scan {
+		if lane.Core.Name == core {
+			return i
+		}
+	}
+	return -1
+}
+
 // streamScan applies one translated scan session to the gate-level stack,
 // comparing every non-X wso expectation through obs.  The drive protocol is
 // the tester's: shift cycles raise SHIFT/SE and present wsi before the tck
@@ -120,6 +131,7 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 		}
 	}
 	pollIn := equivPollCycles
+	lane := scanLaneIndex(layout, core.Name)
 	return prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
 		if pollIn--; pollIn <= 0 {
 			pollIn = equivPollCycles
@@ -127,15 +139,19 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 				return false
 			}
 		}
-		switch cyc.Actions[core.Name] {
+		action := pattern.ActIdle
+		if lane >= 0 {
+			action = cyc.Actions[lane]
+		}
+		switch action {
 		case pattern.ActShift:
 			setSE(true)
 			for i, id := range pins.wsi {
-				sim.SetID(id, cyc.TamIn[i] == pattern.B1)
+				sim.SetID(id, cyc.TamIn.At(i) == pattern.B1)
 			}
 			sim.Settle()
 			for i, id := range pins.wso {
-				want := cyc.TamExpect[i]
+				want := cyc.TamExpect.At(i)
 				if want == pattern.BX {
 					continue
 				}
