@@ -74,12 +74,6 @@ func appendBits(line []byte, bus *Bus, alphabet string) []byte {
 	}
 	for w, care := range bus.Care {
 		val, n := bus.Val[w], min(64, bus.Len()-w<<6)
-		if care == 0 {
-			for k := 0; k < n; k++ {
-				line = append(line, alphabet[2])
-			}
-			continue
-		}
 		for k := 0; k < n; k++ {
 			idx := 2
 			if care>>k&1 == 1 {
